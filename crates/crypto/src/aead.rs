@@ -36,7 +36,8 @@ pub const TAG_LEN: usize = 32;
 #[derive(Clone)]
 pub struct Aead {
     enc_key: [u8; 32],
-    mac_key: [u8; 32],
+    /// HMAC keyed once with the derived MAC key; each tag starts from a clone.
+    mac: HmacSha256,
 }
 
 impl std::fmt::Debug for Aead {
@@ -53,7 +54,10 @@ impl Aead {
         let mut mac_key = [0u8; 32];
         hkdf_expand(key, b"lateral.aead.enc", &mut enc_key);
         hkdf_expand(key, b"lateral.aead.mac", &mut mac_key);
-        Aead { enc_key, mac_key }
+        Aead {
+            enc_key,
+            mac: HmacSha256::new(&mac_key),
+        }
     }
 
     fn nonce_bytes(nonce: u64) -> [u8; 12] {
@@ -63,7 +67,7 @@ impl Aead {
     }
 
     fn tag(&self, nonce: u64, aad: &[u8], ciphertext: &[u8]) -> [u8; 32] {
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         mac.update(&nonce.to_le_bytes());
         mac.update(&(aad.len() as u64).to_le_bytes());
         mac.update(aad);
@@ -76,7 +80,8 @@ impl Aead {
     ///
     /// The returned vector is `plaintext.len() + TAG_LEN` bytes.
     pub fn seal(&self, nonce: u64, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = plaintext.to_vec();
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
         chacha::xor_stream(&self.enc_key, 0, &Self::nonce_bytes(nonce), &mut out);
         let tag = self.tag(nonce, aad, &out);
         out.extend_from_slice(&tag);

@@ -32,6 +32,13 @@
 //! inside the same process and are bound by the same rules — but **do not
 //! reuse this crate as a real cryptographic library**.
 //!
+//! SHA-256 has two compressors. On x86-64 CPUs that report the SHA
+//! extensions at run time it uses those instructions; elsewhere it runs
+//! the portable scalar code, which the tests also use as the reference.
+//! CPU detection alone picks the path, and both produce identical output,
+//! so every digest, tag, key and ciphertext is the same on any host. The
+//! call into the SHA-extension code is this crate's only `unsafe` block.
+//!
 //! # Example
 //!
 //! ```
@@ -46,7 +53,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;

@@ -3,6 +3,13 @@
 //! Implemented from the specification; validated against the standard test
 //! vectors (`""`, `"abc"`, and the 448-bit two-block message) in the unit
 //! tests below.
+//!
+//! Every compression goes through one multi-block function. On x86-64 CPUs
+//! that report the SHA extensions (and SSSE3/SSE4.1) at run time it uses
+//! the `sha256rnds2`/`sha256msg1`/`sha256msg2` instructions; everywhere else
+//! it runs the portable scalar compressor. Nothing but CPU detection picks
+//! the path. Both give identical output, and the tests compare the
+//! dispatched path against the scalar one.
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes.
@@ -132,46 +139,64 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
+            self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let (blocks, tail) = rest.as_chunks::<64>();
+        compress_blocks(&mut self.state, blocks);
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.len.wrapping_mul(8);
-        // Append the 0x80 terminator, then zero padding, then 64-bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
+        // Pad in place: the 0x80 terminator, zeros, then the 64-bit bit
+        // length in the last 8 bytes — spilling into a second block when
+        // fewer than 8 bytes are left after the terminator.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
+            self.buf = [0u8; 64];
         }
-        // `update` would double-count the length bytes via self.len, but we
-        // already captured bit_len; feed the suffix through compress directly.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Applies the compression function to `state` for each block in order.
+///
+/// The only place that chooses a compressor: the SHA extensions when the
+/// CPU reports them, [`compress_scalar`] otherwise.
+#[allow(unsafe_code)]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `shani::compress_blocks` is compiled for sha, sse2, ssse3
+        // and sse4.1. The check above found sha, ssse3 and sse4.1 on this
+        // CPU, and sse2 is part of the x86-64 baseline. The function takes
+        // no pointers, so the features are its only requirement.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    compress_scalar(state, blocks);
+}
+
+/// The portable compression function, straight from FIPS 180-4 §6.2.2.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -184,7 +209,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -205,14 +230,76 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The compression function on the x86-64 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Same contract as `super::compress_scalar`.
+    ///
+    /// The state lives in two vectors, `abef` and `cdgh` (named from the
+    /// highest lane down), the layout `sha256rnds2` works on. The message
+    /// schedule is a window of four vectors of four words; each step of
+    /// the loop runs four rounds on the oldest vector and slides the
+    /// window by one.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        let s = state.map(|v| v as i32);
+        let mut abef = _mm_set_epi32(s[0], s[1], s[4], s[5]);
+        let mut cdgh = _mm_set_epi32(s[2], s[3], s[6], s[7]);
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut m = [0i32; 16];
+            for (word, bytes) in m.iter_mut().zip(block.as_chunks::<4>().0) {
+                *word = u32::from_be_bytes(*bytes) as i32;
+            }
+            let mut w = [
+                _mm_set_epi32(m[3], m[2], m[1], m[0]),
+                _mm_set_epi32(m[7], m[6], m[5], m[4]),
+                _mm_set_epi32(m[11], m[10], m[9], m[8]),
+                _mm_set_epi32(m[15], m[14], m[13], m[12]),
+            ];
+            for (step, k) in K.chunks_exact(4).enumerate() {
+                let k = _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32);
+                let wk = _mm_add_epi32(w[0], k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                // Slide the window: the next four message words, computed
+                // from the last sixteen while any rounds still need them.
+                let next = if step < 12 {
+                    _mm_sha256msg2_epu32(
+                        _mm_add_epi32(
+                            _mm_sha256msg1_epu32(w[0], w[1]),
+                            _mm_alignr_epi8(w[3], w[2], 4),
+                        ),
+                        w[3],
+                    )
+                } else {
+                    w[0]
+                };
+                w = [w[1], w[2], w[3], next];
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ]
+        .map(|v| v as u32);
     }
 }
 
@@ -231,6 +318,7 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Drbg;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -274,7 +362,11 @@ mod tests {
     #[test]
     fn incremental_matches_oneshot() {
         let data: Vec<u8> = (0u8..=255).cycle().take(1000).collect();
-        for split in [0usize, 1, 63, 64, 65, 127, 999, 1000] {
+        let splits = [0usize, 1, 55, 56, 63, 64, 65]
+            .into_iter()
+            .chain(119..=129)
+            .chain([999, 1000]);
+        for split in splits {
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
@@ -292,6 +384,26 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), sha256(&data), "len {len}");
+        }
+    }
+
+    /// The dispatched compressor against the scalar reference, from random
+    /// states over random runs of 0–16 random blocks. On a CPU without the
+    /// SHA extensions, or off x86-64, both sides run the scalar code.
+    #[test]
+    fn dispatched_compressor_matches_scalar() {
+        let mut rng = Drbg::from_seed(b"sha256 compressor differential");
+        for _ in 0..1000 {
+            let mut state = [0u32; 8];
+            state.fill_with(|| rng.next_u32());
+            let mut blocks = vec![[0u8; 64]; rng.gen_range(17) as usize];
+            for block in &mut blocks {
+                rng.fill_bytes(block);
+            }
+            let mut reference = state;
+            compress_scalar(&mut reference, &blocks);
+            compress_blocks(&mut state, &blocks);
+            assert_eq!(state, reference, "{} blocks", blocks.len());
         }
     }
 }

@@ -8,8 +8,13 @@ set -eu
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
+
+# The crypto kernels pick their code path at run time; test them as
+# optimised code too.
+echo "==> cargo test --release -q -p lateral-crypto"
+cargo test --release -q -p lateral-crypto
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
