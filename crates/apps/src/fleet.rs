@@ -10,11 +10,12 @@
 //! [`ShardFabric`] driven with `invoke_batch`. The robustness story is
 //! the point:
 //!
-//! * **Bounded ingest, explicit backpressure** — each utility shard
-//!   fronts a bounded inbox ([`shard_channels`]); a full inbox refuses
-//!   with the typed [`SubstrateError::Overloaded`], the refused reading
-//!   is *deferred* on a deterministic capped-doubling schedule (never
-//!   silently dropped), and shed load is counted (`fleet.ingest.shed`).
+//! * **Bounded ingest, explicit backpressure** — each tick, a utility
+//!   shard admits at most [`FleetConfig::inbox_capacity`] due readings,
+//!   encoded back to back into one buffer and aggregated as one
+//!   `invoke_batch` round; every reading past the bound is *shed* onto
+//!   a deterministic capped-doubling retry schedule (never silently
+//!   dropped), and shed load is counted (`fleet.ingest.shed`).
 //! * **Deterministic churn** — a [`ChurnPlan`] crashes an exact,
 //!   hash-selected fraction of the fleet at exact logical ticks and can
 //!   issue a mid-fleet firmware recall that revokes a digest in the
@@ -54,9 +55,9 @@ use lateral_substrate::attest::{AttestationEvidence, TrustPolicy};
 use lateral_substrate::cap::{Badge, ChannelCap};
 use lateral_substrate::component::{Component, ComponentError, Invocation};
 use lateral_substrate::fault::{ChurnKind, ChurnPlan};
-use lateral_substrate::shard::{shard_channels, ShardFabric, ShardId, ShardInbox, ShardPost};
+use lateral_substrate::shard::{ShardFabric, ShardId};
 use lateral_substrate::substrate::{DomainContext, DomainSpec, Substrate};
-use lateral_substrate::{DomainId, SubstrateError};
+use lateral_substrate::DomainId;
 use lateral_wot::{Proof, Rating, ReviewProof, TrustGraph, TrustProof};
 
 /// Firmware image of the fleet rollout's v1 cohort.
@@ -90,6 +91,14 @@ pub enum Firmware {
 }
 
 impl Firmware {
+    const ALL: [Firmware; 2] = [Firmware::V1, Firmware::V2];
+
+    /// The build registered under `name`, if the fleet knows it.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Firmware> {
+        Firmware::ALL.into_iter().find(|fw| fw.name() == name)
+    }
+
     /// Registry name of this build.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -190,7 +199,8 @@ pub struct FleetConfig {
     /// Utility-side aggregation shards (= substrates handed to
     /// [`FleetWorld::new`]).
     pub shards: u32,
-    /// Bounded ingest-inbox capacity per shard — the backpressure knob.
+    /// Readings each shard admits per tick — the backpressure knob. Due
+    /// readings past it are shed and retried on the backoff schedule.
     pub inbox_capacity: usize,
     /// Reading rounds (fleet logical ticks with production).
     pub rounds: u64,
@@ -202,7 +212,7 @@ pub struct FleetConfig {
     /// cohort is the first `meters * ppm / 1e6` meter ids.
     pub v2_fraction_ppm: u32,
     /// Overload leg: in this round every Up meter produces two readings
-    /// instead of one, overrunning the bounded inboxes.
+    /// instead of one, overrunning the per-tick admission bound.
     pub burst_round: Option<u64>,
     /// Retry schedule for both the WAN path and ingest deferral.
     pub backoff: BackoffSchedule,
@@ -251,8 +261,8 @@ pub struct FleetStats {
     pub wan_duplicates: u64,
     /// Readings delivered to the utility side (post-WAN, pre-ingest).
     pub delivered: u64,
-    /// Readings refused by a full ingest inbox (each is deferred and
-    /// retried — shed load, never dropped load).
+    /// Readings shed past a shard's per-tick admission bound (each is
+    /// deferred and retried — shed load, never dropped load).
     pub shed: u64,
     /// Readings acknowledged by a shard aggregator.
     pub acked: u64,
@@ -322,7 +332,7 @@ struct ShardLane {
     outbound: VecDeque<Pending>,
     /// A sealed batch awaiting byte-identical retransmission.
     wan_pending: Option<WanBatch>,
-    /// Readings delivered but refused by the bounded inbox.
+    /// Readings delivered but not yet admitted (new or shed).
     deferred: VecDeque<Pending>,
     /// Last aggregator acknowledgment: (count, sum).
     last_ack: (u64, u64),
@@ -338,8 +348,6 @@ pub struct FleetWorld {
     pub network: Network,
     config: FleetConfig,
     fab: ShardFabric,
-    inboxes: Vec<ShardInbox>,
-    post: ShardPost,
     lanes: Vec<ShardLane>,
     meters: Vec<MeterSim>,
     /// The firmware auditor cohort: their signed review proofs are the
@@ -393,8 +401,9 @@ impl FleetWorld {
     /// # Panics
     ///
     /// Panics on setup failures (fixed topology: these are programming
-    /// errors, not scenario outcomes) and when `substrates.len()`
-    /// disagrees with `config.shards`.
+    /// errors, not scenario outcomes), when `substrates.len()`
+    /// disagrees with `config.shards`, and when a churn event names a
+    /// firmware image the fleet does not know.
     pub fn new(substrates: Vec<Box<dyn Substrate>>, config: FleetConfig) -> FleetWorld {
         assert_eq!(
             substrates.len(),
@@ -402,12 +411,21 @@ impl FleetWorld {
             "one substrate per shard"
         );
         assert!(config.shards > 0, "at least one shard");
+        for ev in config.churn.events() {
+            if let ChurnKind::Recall { image } | ChurnKind::DistrustWave { image } = &ev.kind {
+                assert!(
+                    Firmware::from_name(image).is_some(),
+                    "churn event at tick {} names unknown firmware image {image:?}",
+                    ev.at
+                );
+            }
+        }
 
         // --- firmware registry -------------------------------------------
         let publisher = SigningKey::from_seed(b"fleet firmware publisher");
         let mut registry = Registry::new("fleet-registry");
         registry.trust_root(&publisher.verifying_key());
-        for fw in [Firmware::V1, Firmware::V2] {
+        for fw in Firmware::ALL {
             let manifest = ManifestDraft::new(fw.name(), fw.image())
                 .loc(1_500)
                 .sign(&publisher, None);
@@ -440,7 +458,7 @@ impl FleetWorld {
                 .ingest_proof(&Proof::Trust(vouch))
                 .expect("root vouch verifies");
         }
-        for fw in [Firmware::V1, Firmware::V2] {
+        for fw in Firmware::ALL {
             for reviewer in &reviewers {
                 let endorse =
                     ReviewProof::issue(reviewer, fw.measurement(), Rating::High, ENDORSE_EPOCH);
@@ -474,7 +492,6 @@ impl FleetWorld {
         // --- utility shards ----------------------------------------------
         let mut fab = ShardFabric::new(substrates);
         let mut network = Network::new("fleet-wan");
-        let (inboxes, post) = shard_channels(config.shards as usize, config.inbox_capacity);
         let mut lanes = Vec::with_capacity(config.shards as usize);
         for s in 0..config.shards {
             fab.pin(&format!("fleet-agg{s}"), ShardId(s));
@@ -538,8 +555,6 @@ impl FleetWorld {
             network,
             config,
             fab,
-            inboxes,
-            post,
             lanes,
             meters,
             reviewers,
@@ -564,9 +579,11 @@ impl FleetWorld {
         &self.stats
     }
 
-    /// Readings produced but not yet acknowledged: outbound (pre-WAN)
-    /// plus deferred (shed by ingest). Inboxes drain every tick, so at
-    /// tick boundaries this is the complete in-flight set.
+    /// Readings produced but not yet acknowledged: outbound (pre-WAN),
+    /// in a sealed batch awaiting retransmission, or delivered and not
+    /// yet admitted (including shed readings). Admitted readings are
+    /// acknowledged in the tick that admits them, so at tick boundaries
+    /// this is the complete in-flight set.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.lanes
@@ -605,7 +622,7 @@ impl FleetWorld {
     }
 
     /// One fleet tick: churn → respawns → production → WAN shipping →
-    /// bounded ingest → batched aggregation → epoch barrier.
+    /// bounded admission and batched aggregation → epoch barrier.
     pub fn tick(&mut self) {
         let t = self.round;
         self.apply_churn(t);
@@ -616,7 +633,6 @@ impl FleetWorld {
         for s in 0..self.lanes.len() {
             self.ship_lane(s, t);
             self.ingest_lane(s, t);
-            self.aggregate_lane(s);
         }
         self.fab.advance_epoch();
         self.round += 1;
@@ -700,6 +716,7 @@ impl FleetWorld {
     // --- tick phases -----------------------------------------------------
 
     fn apply_churn(&mut self, t: u64) {
+        let known = |image: &str| Firmware::from_name(image).expect("checked in FleetWorld::new");
         let events: Vec<_> = self.config.churn.due(t).cloned().collect();
         for ev in events {
             match &ev.kind {
@@ -721,20 +738,15 @@ impl FleetWorld {
                         }
                     }
                 }
-                ChurnKind::Recall { image } => self.recall(image),
-                ChurnKind::DistrustWave { image } => self.distrust_wave(image),
+                ChurnKind::Recall { image } => self.recall(known(image)),
+                ChurnKind::DistrustWave { image } => self.distrust_wave(known(image)),
             }
         }
     }
 
     /// The mid-fleet recall: revoke the build's digest in the registry,
     /// then quarantine every meter running it — in this same tick.
-    fn recall(&mut self, image_name: &str) {
-        let fw = if image_name == FLEET_FW_V2_NAME {
-            Firmware::V2
-        } else {
-            Firmware::V1
-        };
+    fn recall(&mut self, fw: Firmware) {
         let _ = self.registry.revoke(fw.measurement(), "fleet-wide recall");
         for m in &mut self.meters {
             if m.firmware == fw && m.state != MeterState::Quarantined {
@@ -748,15 +760,9 @@ impl FleetWorld {
     /// build, superseding its rollout endorsement. No revocation is
     /// written — the registry's trust graph alone drops the score below
     /// the admission threshold, and every meter running the build is
-    /// quarantined in this same tick (zero restart budget burned). A
-    /// down meter misses the sweep but respawns into the failing
-    /// wot-threshold pass instead.
-    fn distrust_wave(&mut self, image_name: &str) {
-        let fw = if image_name == FLEET_FW_V2_NAME {
-            Firmware::V2
-        } else {
-            Firmware::V1
-        };
+    /// quarantined in this same tick (zero restart budget burned),
+    /// down meters included.
+    fn distrust_wave(&mut self, fw: Firmware) {
         for reviewer in &self.reviewers {
             let wave =
                 ReviewProof::issue(reviewer, fw.measurement(), Rating::Distrust, DISTRUST_EPOCH);
@@ -987,29 +993,26 @@ impl FleetWorld {
         }
     }
 
-    /// Pushes due delivered readings into the shard's bounded inbox.
-    /// [`SubstrateError::Overloaded`] sheds the reading onto its
-    /// deterministic retry schedule — counted, never dropped.
+    /// Admits up to `inbox_capacity` due delivered readings, in arrival
+    /// order, and aggregates them as one `invoke_batch` round on the
+    /// shard's engine. The rest are shed onto their deterministic retry
+    /// schedule — counted, never dropped.
     fn ingest_lane(&mut self, s: usize, t: u64) {
         let lane = &mut self.lanes[s];
+        let bound = self.config.inbox_capacity * READING_BYTES;
+        let mut admitted = Vec::with_capacity(bound.min(lane.deferred.len() * READING_BYTES));
         let mut shed_now = 0u64;
         let mut still_deferred = VecDeque::new();
         for mut p in lane.deferred.drain(..) {
             if p.retry_at > t {
                 still_deferred.push_back(p);
-                continue;
-            }
-            let mut payload = Vec::with_capacity(READING_BYTES);
-            p.reading.encode_into(&mut payload);
-            match self.post.post(ShardId(s as u32), DomainId(0), payload) {
-                Ok(_reply) => {}
-                Err(SubstrateError::Overloaded(_)) => {
-                    shed_now += 1;
-                    p.attempt += 1;
-                    p.retry_at = t + self.config.backoff.delay_before(p.attempt).max(1);
-                    still_deferred.push_back(p);
-                }
-                Err(e) => panic!("unexpected ingest error: {e}"),
+            } else if admitted.len() < bound {
+                p.reading.encode_into(&mut admitted);
+            } else {
+                shed_now += 1;
+                p.attempt += 1;
+                p.retry_at = t + self.config.backoff.delay_before(p.attempt).max(1);
+                still_deferred.push_back(p);
             }
         }
         lane.deferred = still_deferred;
@@ -1019,21 +1022,10 @@ impl FleetWorld {
                 tel.metrics_mut().incr("fleet.ingest.shed", shed_now);
             }
         }
-    }
-
-    /// Drains the shard's inbox and aggregates the accepted readings as
-    /// one `invoke_batch` round on the shard's engine.
-    fn aggregate_lane(&mut self, s: usize) {
-        let mut payloads = Vec::new();
-        self.inboxes[s].drain(|_target, payload| {
-            payloads.push(payload.to_vec());
-            Ok(Vec::new())
-        });
-        if payloads.is_empty() {
+        if admitted.is_empty() {
             return;
         }
-        let lane = &mut self.lanes[s];
-        let views: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let views: Vec<&[u8]> = admitted.chunks_exact(READING_BYTES).collect();
         let replies = self
             .fab
             .invoke_batch(lane.env, &lane.cap, &views)
@@ -1298,16 +1290,81 @@ mod tests {
         let v2_count = 240 * 250_000 / 1_000_000;
         assert_eq!(
             stats.quarantined_by_recall + stats.quarantined_on_respawn,
-            v2_count as u64 + stats.quarantined_on_respawn.min(0),
+            v2_count as u64,
             "recall + respawn refusals cover the v2 cohort"
         );
-        assert_eq!(world.quarantined() as u64, {
-            let q = stats.quarantined_by_recall
+        assert_eq!(
+            world.quarantined() as u64,
+            stats.quarantined_by_recall
                 + stats.quarantined_on_respawn
-                + stats.quarantined_by_budget;
-            q
-        });
+                + stats.quarantined_by_budget
+        );
         assert_eq!(stats.acked, stats.produced);
         conservation(&world);
+    }
+
+    #[test]
+    fn burst_admission_is_pinned_and_bounded_per_tick() {
+        // Calm rounds bring 120 readings a shard; the tick-3 burst brings
+        // 240 against room for 140, so the backlog sheds and outlives
+        // production. The pinned stats and digest are those of a
+        // per-reading bounded queue of the same capacity, which admits
+        // the first 140 due readings of each tick in arrival order.
+        let config = FleetConfig {
+            inbox_capacity: 140,
+            burst_round: Some(3),
+            ..FleetConfig::default()
+        };
+        let mut world = FleetWorld::new(software_pool(2), config.clone());
+        let stats = world.run();
+        assert_eq!(
+            stats,
+            FleetStats {
+                produced: 1680,
+                produced_wh: 1_932_150,
+                wan_batches: 12,
+                wan_retransmissions: 1,
+                delivered: 1680,
+                shed: 480,
+                acked: 1680,
+                drain_ticks: 1,
+                ..FleetStats::default()
+            }
+        );
+        assert_eq!(
+            world.fleet_digest().to_hex(),
+            "6b2b85557dae69f053604ce0370f7db644b36260a774f48316c9a8e2790bbf93"
+        );
+
+        // Tick by tick, no shard acknowledges more than its bound, and
+        // the backlog fills it.
+        let mut world = FleetWorld::new(software_pool(2), config.clone());
+        let mut filled = 0;
+        while world.round() < config.rounds || world.pending() > 0 {
+            let before = world.shard_totals();
+            world.tick();
+            for (b, a) in before.iter().zip(world.shard_totals()) {
+                let admitted = (a.0 - b.0) as usize;
+                assert!(
+                    admitted <= config.inbox_capacity,
+                    "tick {} admitted {admitted}",
+                    world.round() - 1
+                );
+                filled += usize::from(admitted == config.inbox_capacity);
+            }
+        }
+        assert!(filled > 0, "the backlog filled a shard's bound");
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet-fw-v3")]
+    fn unknown_churn_image_is_a_setup_error() {
+        // Any name but v2 used to resolve to v1, so this recall revoked
+        // the v1 rollout and quarantined three quarters of the fleet.
+        let config = FleetConfig {
+            churn: ChurnPlan::new().with(ChurnEvent::recall(2, "fleet-fw-v3")),
+            ..FleetConfig::default()
+        };
+        let _ = FleetWorld::new(software_pool(2), config);
     }
 }

@@ -8,10 +8,9 @@
 //! two-shard aggregation fabric, while the scenario throws everything
 //! the robustness machinery claims to absorb:
 //!
-//! * a **burst round** that overruns the bounded ingest inboxes —
-//!   refused readings are shed onto a deterministic retry schedule
-//!   (typed [`Overloaded`](lateral_substrate::SubstrateError), counted,
-//!   never dropped);
+//! * a **burst round** that overruns each shard's per-tick admission
+//!   bound — readings past it are shed onto a deterministic retry
+//!   schedule (counted, never dropped);
 //! * a **1% crash wave** at an exact tick — crashed meters run the full
 //!   destroy → backoff → respawn → re-measure → re-attest → re-grant
 //!   cycle;
@@ -58,14 +57,14 @@ pub const FLEET_ROUNDS: u64 = 6;
 /// Crash fraction of the tick-2 churn wave, in ppm (1%).
 pub const CRASH_PPM: u32 = 10_000;
 
-/// The round whose double production overruns the bounded inboxes.
+/// The round whose double production overruns the admission bound.
 pub const BURST_ROUND: u64 = 1;
 
 /// The round the mid-fleet firmware recall lands in.
 pub const RECALL_ROUND: u64 = 4;
 
 /// The E15 scenario: burst at tick 1, 1% crash wave at tick 2, v2
-/// recall at tick 4, steady WAN loss throughout, inboxes sized for
+/// recall at tick 4, steady WAN loss throughout, admission sized for
 /// exactly one calm round.
 #[must_use]
 pub fn scenario() -> FleetConfig {

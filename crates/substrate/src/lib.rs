@@ -123,10 +123,6 @@ pub enum SubstrateError {
     OutOfResources(String),
     /// A cryptographic check failed (unsealing, attestation).
     CryptoFailure(String),
-    /// A bounded ingest queue is full — explicit backpressure. The
-    /// caller must defer and retry on its own schedule; the work was
-    /// *not* enqueued and will not run.
-    Overloaded(String),
     /// Backend-specific failure with context.
     Platform(String),
 }
@@ -143,7 +139,6 @@ impl fmt::Display for SubstrateError {
             SubstrateError::Unsupported(r) => write!(f, "unsupported on this substrate: {r}"),
             SubstrateError::OutOfResources(r) => write!(f, "out of resources: {r}"),
             SubstrateError::CryptoFailure(r) => write!(f, "crypto failure: {r}"),
-            SubstrateError::Overloaded(r) => write!(f, "overloaded: {r}"),
             SubstrateError::Platform(r) => write!(f, "platform error: {r}"),
         }
     }

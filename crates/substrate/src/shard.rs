@@ -26,7 +26,9 @@
 //! For running shards on real OS threads, [`shard_channels`] builds
 //! bounded per-shard inboxes ([`ShardInbox`] / [`ShardPost`]) over
 //! `std::sync::mpsc`, so cross-shard calls become blocking bounded
-//! round trips with backpressure — no new dependencies.
+//! round trips: a sender waits while the target's inbox is full — no
+//! new dependencies. A single-threaded caller that wants to shed load
+//! instead bounds its own batches (as `apps::fleet` does per tick).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -871,61 +873,6 @@ impl ShardPost {
             .recv()
             .map_err(|_| SubstrateError::Platform(format!("{to} dropped the reply")))?
     }
-
-    /// Posts a call into shard `to`'s inbox without blocking and returns
-    /// the reply receiver. A full inbox is surfaced as a typed
-    /// [`SubstrateError::Overloaded`] instead of blocking the sender —
-    /// the explicit-backpressure primitive fleet-scale producers build
-    /// their deferral schedules on.
-    ///
-    /// # Errors
-    ///
-    /// [`SubstrateError::Overloaded`] when the inbox is at capacity
-    /// (nothing was enqueued); [`SubstrateError::Platform`] when the
-    /// inbox has shut down.
-    pub fn post(
-        &self,
-        to: ShardId,
-        target: DomainId,
-        payload: Vec<u8>,
-    ) -> Result<mpsc::Receiver<Result<Vec<u8>, SubstrateError>>, SubstrateError> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        match self.senders[to.0 as usize].try_send(XShardCall {
-            target,
-            payload,
-            reply: reply_tx,
-        }) {
-            Ok(()) => Ok(reply_rx),
-            Err(mpsc::TrySendError::Full(_)) => {
-                Err(SubstrateError::Overloaded(format!("{to} inbox is full")))
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => {
-                Err(SubstrateError::Platform(format!("{to} inbox is closed")))
-            }
-        }
-    }
-
-    /// Non-blocking round trip: [`ShardPost::post`] followed by a
-    /// blocking wait for the reply. Identical to [`ShardPost::call`]
-    /// except a full inbox returns [`SubstrateError::Overloaded`]
-    /// instead of blocking until space frees up.
-    ///
-    /// # Errors
-    ///
-    /// [`SubstrateError::Overloaded`] on a full inbox,
-    /// [`SubstrateError::Platform`] on a closed one; otherwise whatever
-    /// the remote dispatch returned.
-    pub fn try_call(
-        &self,
-        to: ShardId,
-        target: DomainId,
-        payload: Vec<u8>,
-    ) -> Result<Vec<u8>, SubstrateError> {
-        let reply_rx = self.post(to, target, payload)?;
-        reply_rx
-            .recv()
-            .map_err(|_| SubstrateError::Platform(format!("{to} dropped the reply")))?
-    }
 }
 
 /// The receiving half of one shard's bounded inbox, owned by the thread
@@ -943,21 +890,6 @@ impl ShardInbox {
     ) -> usize {
         let mut served = 0;
         while let Ok(call) = self.rx.recv() {
-            let result = dispatch(call.target, &call.payload);
-            let _ = call.reply.send(result);
-            served += 1;
-        }
-        served
-    }
-
-    /// Drains currently queued calls through `dispatch` without
-    /// blocking. Returns the number of calls served.
-    pub fn drain(
-        &self,
-        mut dispatch: impl FnMut(DomainId, &[u8]) -> Result<Vec<u8>, SubstrateError>,
-    ) -> usize {
-        let mut served = 0;
-        while let Ok(call) = self.rx.try_recv() {
             let result = dispatch(call.target, &call.payload);
             let _ = call.reply.send(result);
             served += 1;
@@ -1258,81 +1190,5 @@ mod tests {
             server.join().unwrap()
         });
         assert_eq!(served, 8);
-    }
-
-    #[test]
-    fn full_inbox_surfaces_backpressure_without_blocking() {
-        // Capacity-2 inbox, nobody serving: the first two posts queue,
-        // the third must come back Overloaded — no panic, no deadlock.
-        let (mut inboxes, post) = shard_channels(1, 2);
-        let inbox = inboxes.pop().unwrap();
-        let _first = post.post(ShardId(0), DomainId(0), vec![1]).unwrap();
-        let _second = post.post(ShardId(0), DomainId(0), vec![2]).unwrap();
-        let err = post.post(ShardId(0), DomainId(0), vec![3]).unwrap_err();
-        assert!(
-            matches!(&err, SubstrateError::Overloaded(r) if r.contains("full")),
-            "{err}"
-        );
-        // try_call classifies the same way.
-        let err = post.try_call(ShardId(0), DomainId(0), vec![4]).unwrap_err();
-        assert!(matches!(err, SubstrateError::Overloaded(_)), "{err}");
-        // The queued work is intact: draining serves exactly the two
-        // accepted calls, and nothing from the rejected ones.
-        let mut seen = Vec::new();
-        let served = inbox.drain(|_t, payload| {
-            seen.push(payload.to_vec());
-            Ok(payload.to_vec())
-        });
-        assert_eq!(served, 2);
-        assert_eq!(seen, vec![vec![1], vec![2]]);
-    }
-
-    #[test]
-    fn drained_inbox_resumes_byte_identical_traces() {
-        // Run the same 6-call workload twice: once where the producer
-        // overruns a capacity-2 inbox (hitting Overloaded and deferring)
-        // and once against a roomy inbox. After drains, the serving
-        // engine's trace ring must be byte-identical — backpressure
-        // changes *when* work runs, never *what* runs.
-        fn run(capacity: usize) -> Vec<u8> {
-            let (mut inboxes, post) = shard_channels(1, capacity);
-            let inbox = inboxes.pop().unwrap();
-            let mut sub = SoftwareSubstrate::new("shard0");
-            let svc = sub.spawn(DomainSpec::named("svc"), Box::new(Echo)).unwrap();
-            let ingress = sub
-                .spawn(DomainSpec::named("xshard-ingress"), Box::new(Echo))
-                .unwrap();
-            let cap = sub.grant_channel(ingress, svc, Badge(1)).unwrap();
-            let mut deferred: Vec<Vec<u8>> = Vec::new();
-            let mut pending = Vec::new();
-            for i in 0..6u8 {
-                match post.post(ShardId(0), DomainId(0), vec![i]) {
-                    Ok(rx) => pending.push(rx),
-                    Err(SubstrateError::Overloaded(_)) => deferred.push(vec![i]),
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
-                if deferred.len() >= 2 {
-                    // Producer-side deferral: drain, then replay the
-                    // deferred payloads in order.
-                    inbox.drain(|_t, p| sub.invoke(ingress, &cap, p));
-                    for p in deferred.drain(..) {
-                        pending.push(post.post(ShardId(0), DomainId(0), p).unwrap());
-                    }
-                }
-            }
-            for p in deferred.drain(..) {
-                inbox.drain(|_t, p| sub.invoke(ingress, &cap, p));
-                pending.push(post.post(ShardId(0), DomainId(0), p).unwrap());
-            }
-            inbox.drain(|_t, p| sub.invoke(ingress, &cap, p));
-            for rx in pending {
-                rx.recv().unwrap().unwrap();
-            }
-            sub.fabric_ref().unwrap().trace_bytes()
-        }
-        let tight = run(2);
-        let roomy = run(64);
-        assert!(!tight.is_empty());
-        assert_eq!(tight, roomy);
     }
 }

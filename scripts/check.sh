@@ -16,6 +16,11 @@ cargo test --workspace -q
 echo "==> cargo test --release -q -p lateral-crypto"
 cargo test --release -q -p lateral-crypto
 
+# The benchmark builds against the workspace crates by path; build and
+# test it here so a change to a public item it uses fails the gate.
+echo "==> cargo test --release -q --manifest-path perfbench/Cargo.toml"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
@@ -92,6 +97,14 @@ for exp in e10 e11 e12 e13 e14 e15 e16 e17 e18; do
             echo "E15 fleet-state digests diverged across backends" >&2
             exit 1
         fi
+        # The pinned fleet-state digest: a change that moves it must
+        # update this value (and EXPERIMENTS.md) in the open.
+        for backend in software microkernel trustzone sgx sep flicker; do
+            if ! grep -qE "^$backend .* 632f581d\$" "$tmpdir/$exp-a.txt"; then
+                echo "E15 $backend fleet digest is not the pinned 632f581d" >&2
+                exit 1
+            fi
+        done
         if ! test -f BENCH_E15.json; then
             echo "E15 did not write BENCH_E15.json" >&2
             exit 1
