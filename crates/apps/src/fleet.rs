@@ -921,7 +921,8 @@ impl FleetWorld {
 
     /// One `send_with_backoff` round for a sealed record: returns the
     /// opened plaintext on delivery, `None` when the schedule exhausted
-    /// (classified and counted as a typed timeout).
+    /// or nothing arrived intact (classified and counted as a typed
+    /// timeout).
     fn transmit(&mut self, s: usize, record: &[u8]) -> Option<Vec<u8>> {
         let lane = &mut self.lanes[s];
         let mut clock = self.wan_clock;
@@ -943,28 +944,29 @@ impl FleetWorld {
                 // the fresh copy once and absorbs each replay as
                 // `Ok(None)`; treating a leftover duplicate as a fresh
                 // ack — or leaving it to poison the next round's inbox —
-                // was the bug this loop fixes.
+                // was the bug this loop fixes. A copy that fails to
+                // authenticate was corrupted in flight: it is skipped as
+                // loss, and the window stays where it was for the
+                // byte-identical retransmission.
                 let mut plain = None;
                 while let Some(p) = self
                     .network
                     .recv(&lane.util_addr)
                     .expect("utility endpoint is registered")
                 {
-                    match lane
-                        .down
-                        .open_numbered(&p.payload)
-                        .expect("retransmissions keep the receive window coherent")
-                    {
-                        Some(fresh) => {
+                    match lane.down.open_numbered(&p.payload) {
+                        Ok(Some(fresh)) => {
                             debug_assert!(plain.is_none(), "one record per transmit");
                             plain = Some(fresh);
                         }
-                        None => self.stats.wan_duplicates += 1,
+                        Ok(None) => self.stats.wan_duplicates += 1,
+                        Err(_) => {}
                     }
                 }
                 if plain.is_none() {
                     // Delivered per the network's ledger but nothing
-                    // arrived — treat as loss and let the caller defer.
+                    // arrived intact — treat as loss and let the caller
+                    // defer.
                     self.stats.wan_timeouts += 1;
                 }
                 plain
@@ -975,7 +977,12 @@ impl FleetWorld {
                 }
                 None
             }
-            Err(e) => panic!("unexpected WAN error: {e}"),
+            // Any other WAN failure is loss too: the caller defers the
+            // batch and retransmits it.
+            Err(_) => {
+                self.stats.wan_timeouts += 1;
+                None
+            }
         }
     }
 
@@ -1247,6 +1254,26 @@ mod tests {
         world.network.set_attack(AttackMode::DropEvery(7));
         let stats = world.run();
         assert_eq!(stats.acked, stats.produced, "outage deferred, never lost");
+        conservation(&world);
+    }
+
+    #[test]
+    fn corrupting_wan_is_loss_not_a_panic() {
+        // Records that fail to authenticate are loss: the batch is
+        // deferred and retransmitted byte-identically once the WAN heals.
+        let mut world = FleetWorld::new(software_pool(2), FleetConfig::default());
+        world.network.set_attack(AttackMode::CorruptAll);
+        world.tick();
+        assert!(
+            world.stats().wan_timeouts > 0,
+            "rejected records count as loss"
+        );
+        world.network.set_attack(AttackMode::DropEvery(7));
+        let stats = world.run();
+        assert_eq!(
+            stats.acked, stats.produced,
+            "corruption deferred, never lost"
+        );
         conservation(&world);
     }
 

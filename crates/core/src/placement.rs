@@ -11,9 +11,9 @@
 //! 1. the fabric's retained trace folds into a
 //!    [`CrossingProfile`](lateral_telemetry::profile::CrossingProfile)
 //!    — per-edge calls, bytes, and tick histograms;
-//! 2. every backend's [`BackendPolicy`](lateral_substrate::fabric::BackendPolicy)
-//!    exposes its pricing as data
-//!    ([`CrossingCostModel`](lateral_substrate::fabric::CrossingCostModel));
+//! 2. every backend's pricing is data — the
+//!    [`CrossingCostModel`](lateral_substrate::fabric::CrossingCostModel)
+//!    its fabric charges every crossing from;
 //! 3. [`plan_placement`] re-prices each component's observed traffic on
 //!    every pool candidate and picks the cheapest substrate **among
 //!    those that still defend the component's required attacker

@@ -25,6 +25,11 @@
 //! cost of this design: DRTM entry is *expensive*), which makes Flicker
 //! the natural ablation point between "TPM only" and "SGX" in the E4
 //! cost ladder.
+//!
+//! The crate is a [`BackendPolicy`] and nothing else: its invoke gate
+//! enters the session, and the fabric engine supplies the rest of the
+//! `Substrate` interface and charges every invoke from the cost model
+//! Flicker hands its fabric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,10 +39,9 @@ use lateral_crypto::sign::VerifyingKey;
 use lateral_crypto::Digest;
 use lateral_substrate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use lateral_substrate::attest::AttestationEvidence;
-use lateral_substrate::cap::{Badge, ChannelCap};
-use lateral_substrate::component::Component;
-use lateral_substrate::fabric::{self, BackendPolicy, CrossingKind, DomainKind, Fabric};
-use lateral_substrate::substrate::{DomainSpec, Substrate};
+use lateral_substrate::fabric::{
+    BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric, InvokeKindRule,
+};
 use lateral_substrate::{DomainId, SubstrateError};
 use lateral_tpm::Tpm;
 
@@ -70,7 +74,13 @@ impl Flicker {
     pub fn new(seed: &str) -> Flicker {
         Flicker {
             tpm: Tpm::new(seed.as_bytes()),
-            fabric: Fabric::new(),
+            // Every invocation is a DRTM entry/exit pair.
+            fabric: Fabric::new(CrossingCostModel::uniform(
+                LATE_LAUNCH_COST,
+                1,
+                8,
+                InvokeKindRule::Always(CrossingKind::LateLaunch),
+            )),
             memories: Vec::new(),
             session_active: false,
             clock: 0,
@@ -115,6 +125,10 @@ impl Flicker {
 }
 
 impl BackendPolicy for Flicker {
+    fn backend_profile(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -173,32 +187,47 @@ impl BackendPolicy for Flicker {
         self.session_active = false;
     }
 
-    fn crossing(
-        &self,
-        _caller: DomainId,
-        _target: DomainId,
-    ) -> Result<CrossingKind, SubstrateError> {
-        // Every invocation is a DRTM entry/exit pair.
-        Ok(CrossingKind::LateLaunch)
-    }
-
-    fn crossing_cost(&self, _kind: CrossingKind, bytes: usize) -> u64 {
-        LATE_LAUNCH_COST + bytes as u64 / 8
-    }
-
-    fn cost_model(&self) -> fabric::CrossingCostModel {
-        // Every invocation is a DRTM entry/exit pair.
-        fabric::CrossingCostModel::uniform(
-            &self.profile.name,
-            LATE_LAUNCH_COST,
-            1,
-            8,
-            fabric::InvokeKindRule::Always(CrossingKind::LateLaunch),
-        )
+    fn clock(&self) -> u64 {
+        self.clock
     }
 
     fn advance_clock(&mut self, cycles: u64) {
         self.clock += cycles;
+    }
+
+    fn read_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, SubstrateError> {
+        self.fabric.table().get(domain)?;
+        let mem = &self.memories[domain.0 as usize];
+        let end = offset
+            .checked_add(len)
+            .filter(|e| *e <= mem.len())
+            .ok_or_else(|| SubstrateError::AccessDenied("PAL memory out of range".into()))?;
+        Ok(mem[offset..end].to_vec())
+    }
+
+    fn write_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError> {
+        self.fabric.table().get(domain)?;
+        let mem = &mut self.memories[domain.0 as usize];
+        let end = offset
+            .checked_add(data.len())
+            .filter(|e| *e <= mem.len())
+            .ok_or_else(|| SubstrateError::AccessDenied("PAL memory out of range".into()))?;
+        mem[offset..end].copy_from_slice(data);
+        Ok(())
+    }
+
+    fn domain_rng(&mut self, domain: DomainId) -> u64 {
+        self.rng.fork(&format!("pal-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(
@@ -261,142 +290,9 @@ impl BackendPolicy for Flicker {
             report_data,
         ))
     }
-}
 
-impl Substrate for Flicker {
-    fn profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
-    fn spawn(
-        &mut self,
-        spec: DomainSpec,
-        component: Box<dyn Component>,
-    ) -> Result<DomainId, SubstrateError> {
-        fabric::spawn(self, spec, component, DomainKind::Trusted)
-    }
-
-    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
-        fabric::destroy(self, domain)
-    }
-
-    fn grant_channel(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        badge: Badge,
-    ) -> Result<ChannelCap, SubstrateError> {
-        fabric::grant_channel(self, from, to, badge)
-    }
-
-    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
-        fabric::revoke_channel(self, cap)
-    }
-
-    fn invoke(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        data: &[u8],
-    ) -> Result<Vec<u8>, SubstrateError> {
-        fabric::invoke(self, caller, cap, data)
-    }
-
-    fn invoke_batch(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        fabric::invoke_batch(self, caller, cap, payloads)
-    }
-
-    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
-        fabric::measurement(self, domain)
-    }
-
-    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
-        fabric::domain_name(self, domain)
-    }
-
-    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::seal(self, domain, data)
-    }
-
-    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::unseal(self, domain, sealed)
-    }
-
-    fn attest(
-        &mut self,
-        domain: DomainId,
-        report_data: &[u8],
-    ) -> Result<AttestationEvidence, SubstrateError> {
-        fabric::attest(self, domain, report_data)
-    }
-
-    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+    fn verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
         Ok(self.tpm.attestation_key())
-    }
-
-    fn mem_read(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, SubstrateError> {
-        self.fabric.table().get(domain)?;
-        let mem = &self.memories[domain.0 as usize];
-        let end = offset
-            .checked_add(len)
-            .filter(|e| *e <= mem.len())
-            .ok_or_else(|| SubstrateError::AccessDenied("PAL memory out of range".into()))?;
-        Ok(mem[offset..end].to_vec())
-    }
-
-    fn mem_write(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), SubstrateError> {
-        self.fabric.table().get(domain)?;
-        let mem = &mut self.memories[domain.0 as usize];
-        let end = offset
-            .checked_add(data.len())
-            .filter(|e| *e <= mem.len())
-            .ok_or_else(|| SubstrateError::AccessDenied("PAL memory out of range".into()))?;
-        mem[offset..end].copy_from_slice(data);
-        Ok(())
-    }
-
-    fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        let mut child = self.rng.fork(&format!("pal-{}", domain.0));
-        child.next_u64()
-    }
-
-    fn now(&self) -> u64 {
-        self.clock
-    }
-
-    fn charge_cycles(&mut self, cycles: u64) {
-        BackendPolicy::advance_clock(self, cycles);
-    }
-
-    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
-        fabric::list_caps(self, domain)
-    }
-
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(&self.fabric)
-    }
-
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(&mut self.fabric)
-    }
-
-    fn cost_model(&self) -> Option<fabric::CrossingCostModel> {
-        Some(BackendPolicy::cost_model(self))
     }
 }
 
@@ -404,7 +300,9 @@ impl Substrate for Flicker {
 mod tests {
     use super::*;
     use lateral_substrate::attest::TrustPolicy;
+    use lateral_substrate::cap::Badge;
     use lateral_substrate::conformance;
+    use lateral_substrate::substrate::{DomainSpec, Substrate};
     use lateral_substrate::testkit::{Echo, Forwarder};
 
     #[test]

@@ -5,11 +5,22 @@
 //! Access Control"): the software that programs the MMU is part of the
 //! isolation substrate and therefore of every component's TCB. In this
 //! workspace that software is the `lateral-microkernel` crate.
+//!
+//! [`DomainMemory`] is the one page-table walk the MMU-based backends
+//! (microkernel, TrustZone, SGX, SEP) share: a domain's frames mapped
+//! from [`DOMAIN_MEM_BASE`], read and written through the MMU and the
+//! checked bus as whichever [`Initiator`] the backend names.
 
 use std::collections::BTreeMap;
 
-use crate::mem::Frame;
-use crate::{HwError, PhysAddr, VirtAddr, PAGE_SIZE};
+use crate::bus::AccessKind;
+use crate::machine::Machine;
+use crate::mem::{Frame, FrameOwner, PhysMem};
+use crate::{HwError, Initiator, PhysAddr, VirtAddr, PAGE_SIZE};
+
+/// Virtual address at which every domain's private memory starts:
+/// byte `offset` of a [`DomainMemory`] is `DOMAIN_MEM_BASE + offset`.
+pub const DOMAIN_MEM_BASE: u64 = 0x10_0000;
 
 /// Access rights of a mapping.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -177,10 +188,116 @@ impl AddressSpace {
     }
 }
 
+/// One protection domain's private memory: frames of one owner, mapped
+/// read-write and contiguous from [`DOMAIN_MEM_BASE`] in the domain's own
+/// address space. Every access walks that address space, then the
+/// checked bus — so which initiator may touch which bytes is decided by
+/// the simulated hardware, not by the backend.
+#[derive(Debug)]
+pub struct DomainMemory {
+    aspace: AddressSpace,
+    frames: Vec<Frame>,
+}
+
+impl DomainMemory {
+    /// Allocates `pages` frames (at least one) tagged `owner` and maps
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// [`HwError::OutOfFrames`]; no frame is leaked.
+    pub fn alloc(
+        mem: &mut PhysMem,
+        owner: FrameOwner,
+        pages: usize,
+    ) -> Result<DomainMemory, HwError> {
+        let frames = mem.alloc_n(owner, pages.max(1))?;
+        let mut aspace = AddressSpace::new();
+        for (i, frame) in frames.iter().enumerate() {
+            aspace.map(
+                VirtAddr(DOMAIN_MEM_BASE + (i * PAGE_SIZE) as u64),
+                *frame,
+                Rights::RW,
+            );
+        }
+        Ok(DomainMemory { aspace, frames })
+    }
+
+    /// The backing frames, in address order.
+    pub fn frames(&self) -> &[Frame] {
+        &self.frames
+    }
+
+    /// Returns the frames to `mem`, which scrubs them.
+    pub fn free(self, mem: &mut PhysMem) {
+        for frame in self.frames {
+            mem.free(frame);
+        }
+    }
+
+    /// The per-page physical spans of `len` bytes at byte `offset`;
+    /// [`HwError::PageFault`] when any byte lies outside the domain's
+    /// memory. An offset past the end of the address space saturates
+    /// onto the top page, which is never mapped.
+    fn translate(
+        &self,
+        offset: usize,
+        len: usize,
+        kind: AccessKind,
+    ) -> Result<Vec<(PhysAddr, usize)>, HwError> {
+        let va = VirtAddr(DOMAIN_MEM_BASE.saturating_add(offset as u64));
+        self.aspace.translate_range(va, len, kind)
+    }
+
+    /// Reads `len` bytes at `offset` as `initiator`, one bus access per
+    /// page span.
+    ///
+    /// # Errors
+    ///
+    /// [`HwError::PageFault`] outside the domain's memory, or whatever
+    /// the bus refuses (see [`Machine::bus_read`]).
+    pub fn read(
+        &self,
+        machine: &mut Machine,
+        initiator: Initiator,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, HwError> {
+        // Translate before allocating: `len` is the caller's, and only a
+        // range that lies inside the domain may size the buffer.
+        let spans = self.translate(offset, len, AccessKind::Read)?;
+        let mut out = Vec::with_capacity(spans.iter().map(|&(_, span)| span).sum());
+        for (pa, span) in spans {
+            out.extend_from_slice(&machine.bus_read(initiator, pa, span)?);
+        }
+        Ok(out)
+    }
+
+    /// Writes `data` at `offset` as `initiator`, one bus access per page
+    /// span.
+    ///
+    /// # Errors
+    ///
+    /// As [`DomainMemory::read`].
+    pub fn write(
+        &self,
+        machine: &mut Machine,
+        initiator: Initiator,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), HwError> {
+        let mut cursor = 0usize;
+        for (pa, span) in self.translate(offset, data.len(), AccessKind::Write)? {
+            machine.bus_write(initiator, pa, &data[cursor..cursor + span])?;
+            cursor += span;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::AccessKind;
 
     #[test]
     fn unmapped_page_faults() {

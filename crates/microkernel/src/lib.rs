@@ -18,6 +18,12 @@
 //! * attestation is available when the platform was provisioned with an
 //!   identity key by a measured boot (see `Microkernel::with_attestation`).
 //!
+//! Like every backend, the kernel is a [`BackendPolicy`] and nothing
+//! else: it places one [`DomainMemory`] per domain, charges spawns, and
+//! owns the clock, randomness and sealing keys; the fabric engine in
+//! `lateral_substrate::fabric` supplies the whole `Substrate` interface
+//! and prices every IPC from the cost model the kernel hands its fabric.
+//!
 //! The kernel itself is the isolation substrate and thus every
 //! component's TCB; its profile reports ~10 kLoC, the magnitude of seL4,
 //! whose formal verification the paper cites as making software substrates
@@ -34,26 +40,23 @@ use lateral_crypto::aead::Aead;
 use lateral_crypto::rng::Drbg;
 use lateral_crypto::sign::{SigningKey, VerifyingKey};
 use lateral_crypto::Digest;
-use lateral_hw::bus::AccessKind;
 use lateral_hw::cache::{CacheDomain, CacheOutcome};
 use lateral_hw::machine::Machine;
 use lateral_hw::mem::{Frame, FrameOwner};
-use lateral_hw::mmu::{AddressSpace, Rights};
-use lateral_hw::{DeviceId, Initiator, VirtAddr, World, PAGE_SIZE};
+use lateral_hw::mmu::DomainMemory;
+use lateral_hw::{DeviceId, Initiator, World};
 use lateral_substrate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use lateral_substrate::attest::AttestationEvidence;
-use lateral_substrate::cap::{Badge, ChannelCap};
-use lateral_substrate::component::Component;
-use lateral_substrate::fabric::{self, BackendPolicy, CrossingKind, DomainKind, Fabric};
-use lateral_substrate::substrate::{DomainSpec, Substrate};
+use lateral_substrate::fabric::{
+    BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric, InvokeKindRule,
+};
 use lateral_substrate::{DomainId, SubstrateError};
 
 pub use sched::{PartitionPlan, SchedPolicy, Scheduler};
 
 /// Kernel-side state of one domain.
 struct KDomain {
-    aspace: AddressSpace,
-    frames: Vec<Frame>,
+    mem: DomainMemory,
     cache_domain: CacheDomain,
     devices: Vec<DeviceId>,
 }
@@ -90,9 +93,17 @@ impl Microkernel {
         machine.iommu.enable();
         let mut rng = Drbg::from_seed(&[b"lateral.microkernel.", seed.as_bytes()].concat());
         let seal_secret = rng.gen_key();
+        // Every crossing is a synchronous IPC round trip + payload copy.
+        let c = &machine.costs;
+        let cost_model = CrossingCostModel::uniform(
+            c.ipc_round_trip,
+            c.copy_per_byte_num,
+            c.copy_per_byte_den,
+            InvokeKindRule::Always(CrossingKind::Ipc),
+        );
         Microkernel {
             machine,
-            fabric: Fabric::new(),
+            fabric: Fabric::new(cost_model),
             kstate: BTreeMap::new(),
             sched: Scheduler::new(SchedPolicy::RoundRobin),
             seal_secret,
@@ -192,7 +203,7 @@ impl Microkernel {
         domain: DomainId,
         device: DeviceId,
     ) -> Result<(), SubstrateError> {
-        let frames = self.kdomain(domain)?.frames.clone();
+        let frames = self.kdomain(domain)?.mem.frames().to_vec();
         for frame in frames {
             self.machine.iommu.grant(device, frame);
         }
@@ -215,24 +226,13 @@ impl Microkernel {
         offset: usize,
         data: &[u8],
     ) -> Result<(), SubstrateError> {
-        let spans = {
-            let k = self.kdomain(domain)?;
-            k.aspace
-                .translate_range(
-                    VirtAddr(Self::MEM_BASE.saturating_add(offset as u64)),
-                    data.len(),
-                    AccessKind::Write,
-                )
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?
-        };
-        let mut cursor = 0usize;
-        for (pa, len) in spans {
-            self.machine
-                .dma_write(device, pa, &data[cursor..cursor + len])
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            cursor += len;
-        }
-        Ok(())
+        let k = self
+            .kstate
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        k.mem
+            .write(&mut self.machine, Initiator::Device(device), offset, data)
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
     }
 
     /// Physical frames backing a domain — used by the attack experiments
@@ -242,11 +242,8 @@ impl Microkernel {
     ///
     /// [`SubstrateError::NoSuchDomain`].
     pub fn domain_frames(&self, domain: DomainId) -> Result<Vec<Frame>, SubstrateError> {
-        Ok(self.kdomain(domain)?.frames.clone())
+        Ok(self.kdomain(domain)?.mem.frames().to_vec())
     }
-
-    /// The virtual base address at which domain memory is mapped.
-    const MEM_BASE: u64 = 0x10_0000;
 
     fn kdomain(&self, id: DomainId) -> Result<&KDomain, SubstrateError> {
         self.kstate.get(&id).ok_or(SubstrateError::NoSuchDomain(id))
@@ -265,26 +262,13 @@ impl Microkernel {
             measurement.as_bytes(),
         )
     }
-
-    fn mem_access(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        kind: AccessKind,
-        len: usize,
-    ) -> Result<Vec<(lateral_hw::PhysAddr, usize)>, SubstrateError> {
-        let va = Self::MEM_BASE
-            .checked_add(offset as u64)
-            .map(VirtAddr)
-            .ok_or_else(|| SubstrateError::AccessDenied("address overflow".into()))?;
-        let k = self.kdomain(domain)?;
-        k.aspace
-            .translate_range(va, len, kind)
-            .map_err(|e| SubstrateError::AccessDenied(format!("MMU: {e}")))
-    }
 }
 
 impl BackendPolicy for Microkernel {
+    fn backend_profile(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -294,27 +278,15 @@ impl BackendPolicy for Microkernel {
     }
 
     fn place(&mut self, id: DomainId, _kind: DomainKind) -> Result<(), SubstrateError> {
-        let pages = self.fabric.table().get(id)?.spec.mem_pages.max(1);
-        let frames = self
-            .machine
-            .mem
-            .alloc_n(FrameOwner::Normal, pages)
+        let pages = self.fabric.table().get(id)?.spec.mem_pages;
+        let mem = DomainMemory::alloc(&mut self.machine.mem, FrameOwner::Normal, pages)
             .map_err(|e| SubstrateError::OutOfResources(e.to_string()))?;
-        let mut aspace = AddressSpace::new();
-        for (i, frame) in frames.iter().enumerate() {
-            aspace.map(
-                VirtAddr(Self::MEM_BASE + (i * PAGE_SIZE) as u64),
-                *frame,
-                Rights::RW,
-            );
-        }
         let cache_domain = CacheDomain(self.next_cache_domain);
         self.next_cache_domain += 1;
         self.kstate.insert(
             id,
             KDomain {
-                aspace,
-                frames,
+                mem,
                 cache_domain,
                 devices: Vec::new(),
             },
@@ -327,9 +299,7 @@ impl BackendPolicy for Microkernel {
             for dev in &k.devices {
                 self.machine.iommu.revoke_all(*dev);
             }
-            for frame in k.frames {
-                self.machine.mem.free(frame);
-            }
+            k.mem.free(&mut self.machine.mem);
             self.machine.cache.flush_domain(k.cache_domain);
         }
     }
@@ -342,33 +312,56 @@ impl BackendPolicy for Microkernel {
         Ok(())
     }
 
-    fn crossing(
-        &self,
-        _caller: DomainId,
-        _target: DomainId,
-    ) -> Result<CrossingKind, SubstrateError> {
-        // Synchronous IPC: two context switches plus payload copy.
-        Ok(CrossingKind::Ipc)
-    }
-
-    fn crossing_cost(&self, _kind: CrossingKind, bytes: usize) -> u64 {
-        self.machine.costs.ipc_round_trip + self.machine.costs.copy_cost(bytes)
-    }
-
-    fn cost_model(&self) -> fabric::CrossingCostModel {
-        // Every crossing is a synchronous IPC round trip + payload copy.
-        let c = &self.machine.costs;
-        fabric::CrossingCostModel::uniform(
-            &self.profile.name,
-            c.ipc_round_trip,
-            c.copy_per_byte_num,
-            c.copy_per_byte_den,
-            fabric::InvokeKindRule::Always(CrossingKind::Ipc),
-        )
+    fn clock(&self) -> u64 {
+        self.machine.clock.now()
     }
 
     fn advance_clock(&mut self, cycles: u64) {
         self.machine.clock.advance(cycles);
+    }
+
+    fn read_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, SubstrateError> {
+        let k = self
+            .kstate
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        k.mem
+            .read(
+                &mut self.machine,
+                Initiator::cpu(World::Normal),
+                offset,
+                len,
+            )
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
+    }
+
+    fn write_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError> {
+        let k = self
+            .kstate
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        k.mem
+            .write(
+                &mut self.machine,
+                Initiator::cpu(World::Normal),
+                offset,
+                data,
+            )
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
+    }
+
+    fn domain_rng(&mut self, domain: DomainId) -> u64 {
+        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(
@@ -414,155 +407,14 @@ impl BackendPolicy for Microkernel {
             )),
         }
     }
-}
 
-impl Substrate for Microkernel {
-    fn profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
-    fn spawn(
-        &mut self,
-        spec: DomainSpec,
-        component: Box<dyn Component>,
-    ) -> Result<DomainId, SubstrateError> {
-        fabric::spawn(self, spec, component, DomainKind::Trusted)
-    }
-
-    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
-        fabric::destroy(self, domain)
-    }
-
-    fn grant_channel(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        badge: Badge,
-    ) -> Result<ChannelCap, SubstrateError> {
-        fabric::grant_channel(self, from, to, badge)
-    }
-
-    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
-        fabric::revoke_channel(self, cap)
-    }
-
-    fn invoke(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        data: &[u8],
-    ) -> Result<Vec<u8>, SubstrateError> {
-        fabric::invoke(self, caller, cap, data)
-    }
-
-    fn invoke_batch(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        fabric::invoke_batch(self, caller, cap, payloads)
-    }
-
-    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
-        fabric::measurement(self, domain)
-    }
-
-    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
-        fabric::domain_name(self, domain)
-    }
-
-    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::seal(self, domain, data)
-    }
-
-    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::unseal(self, domain, sealed)
-    }
-
-    fn attest(
-        &mut self,
-        domain: DomainId,
-        report_data: &[u8],
-    ) -> Result<AttestationEvidence, SubstrateError> {
-        fabric::attest(self, domain, report_data)
-    }
-
-    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+    fn verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
         self.attestation
             .as_ref()
             .map(|(k, _)| k.verifying_key())
             .ok_or_else(|| {
                 SubstrateError::Unsupported("platform has no attestation identity".into())
             })
-    }
-
-    fn mem_read(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, SubstrateError> {
-        let spans = self.mem_access(domain, offset, AccessKind::Read, len)?;
-        let mut out = Vec::with_capacity(len);
-        for (pa, span_len) in spans {
-            let bytes = self
-                .machine
-                .bus_read(Initiator::cpu(World::Normal), pa, span_len)
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            out.extend_from_slice(&bytes);
-        }
-        Ok(out)
-    }
-
-    fn mem_write(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), SubstrateError> {
-        let spans = self.mem_access(domain, offset, AccessKind::Write, data.len())?;
-        let mut cursor = 0usize;
-        for (pa, span_len) in spans {
-            self.machine
-                .bus_write(
-                    Initiator::cpu(World::Normal),
-                    pa,
-                    &data[cursor..cursor + span_len],
-                )
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            cursor += span_len;
-        }
-        Ok(())
-    }
-
-    fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        let mut child = self.rng.fork(&format!("domain-{}", domain.0));
-        child.next_u64()
-    }
-
-    fn now(&self) -> u64 {
-        self.machine.clock.now()
-    }
-
-    fn charge_cycles(&mut self, cycles: u64) {
-        BackendPolicy::advance_clock(self, cycles);
-    }
-
-    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
-        fabric::list_caps(self, domain)
-    }
-
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(&self.fabric)
-    }
-
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(&mut self.fabric)
-    }
-
-    fn cost_model(&self) -> Option<fabric::CrossingCostModel> {
-        Some(BackendPolicy::cost_model(self))
     }
 }
 
@@ -571,7 +423,10 @@ mod tests {
     use super::*;
     use lateral_hw::device::DeviceKind;
     use lateral_hw::machine::MachineBuilder;
+    use lateral_hw::PAGE_SIZE;
+    use lateral_substrate::cap::Badge;
     use lateral_substrate::conformance;
+    use lateral_substrate::substrate::{DomainSpec, Substrate};
     use lateral_substrate::testkit::{Echo, MemoryScribe};
 
     fn kernel() -> Microkernel {

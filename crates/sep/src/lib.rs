@@ -20,6 +20,11 @@
 //! * A fused key ([`lateral_hw::fuse::FuseAccess::SepOnly`]) roots
 //!   sealing and attestation, like the on-device HSM the paper compares
 //!   the SEP to.
+//!
+//! The crate is a [`BackendPolicy`] and nothing else. Which processor a
+//! domain runs on is its recorded [`DomainKind`], and the fabric engine
+//! charges the mailbox round trip from the `SameSideElse` rule of the
+//! cost model the SEP hands its fabric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,35 +35,28 @@ use lateral_crypto::aead::Aead;
 use lateral_crypto::rng::Drbg;
 use lateral_crypto::sign::{SigningKey, VerifyingKey};
 use lateral_crypto::Digest;
-use lateral_hw::bus::AccessKind;
 use lateral_hw::fuse::FuseAccess;
 use lateral_hw::machine::Machine;
 use lateral_hw::mem::{Frame, FrameOwner};
-use lateral_hw::mmu::{AddressSpace, Rights};
-use lateral_hw::{Initiator, VirtAddr, World, PAGE_SIZE};
+use lateral_hw::mmu::DomainMemory;
+use lateral_hw::{Initiator, World};
 use lateral_substrate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use lateral_substrate::attest::AttestationEvidence;
-use lateral_substrate::cap::{Badge, ChannelCap};
 use lateral_substrate::component::Component;
-use lateral_substrate::fabric::{self, BackendPolicy, CrossingKind, DomainKind, Fabric};
-use lateral_substrate::substrate::{DomainSpec, Substrate};
+use lateral_substrate::fabric::{
+    self, BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric, InvokeKindRule,
+};
+use lateral_substrate::substrate::DomainSpec;
 use lateral_substrate::{DomainId, SubstrateError};
 
 /// Name of the fused SEP root key (the UID fused at manufacture).
 pub const SEP_KEY_FUSE: &str = "sep-uid";
 
-struct SepDomain {
-    aspace: AddressSpace,
-    frames: Vec<Frame>,
-    /// `true` for coprocessor-side (trusted) domains.
-    on_sep: bool,
-}
-
 /// The SEP substrate: coprocessor services + application-CPU hosts.
 pub struct Sep {
     machine: Machine,
     fabric: Fabric,
-    kstate: BTreeMap<DomainId, SepDomain>,
+    mems: BTreeMap<DomainId, DomainMemory>,
     attest_key: SigningKey,
     rng: Drbg,
     profile: SubstrateProfile,
@@ -94,10 +92,28 @@ impl Sep {
             .expect("SEP reads its fuse");
         let attest_key =
             SigningKey::from_seed(&[b"sep-attest".as_slice(), uid.as_slice()].concat());
+        // Same processor side → IPC; crossing to/from the SEP → a mailbox
+        // round trip.
+        let c = &machine.costs;
+        let mut cost_model = CrossingCostModel::uniform(
+            c.ipc_round_trip,
+            c.copy_per_byte_num,
+            c.copy_per_byte_den,
+            InvokeKindRule::SameSideElse {
+                same: CrossingKind::Ipc,
+                cross: CrossingKind::Mailbox,
+            },
+        );
+        cost_model.set(
+            CrossingKind::Mailbox,
+            2 * c.sep_mailbox,
+            c.copy_per_byte_num,
+            c.copy_per_byte_den,
+        );
         Sep {
             machine,
-            fabric: Fabric::new(),
-            kstate: BTreeMap::new(),
+            fabric: Fabric::new(cost_model),
+            mems: BTreeMap::new(),
             attest_key,
             rng,
             profile: SubstrateProfile {
@@ -156,7 +172,7 @@ impl Sep {
     ///
     /// [`SubstrateError::NoSuchDomain`].
     pub fn on_sep(&self, domain: DomainId) -> Result<bool, SubstrateError> {
-        Ok(self.kdomain(domain)?.on_sep)
+        Ok(self.fabric.table().get(domain)?.kind == DomainKind::Trusted)
     }
 
     /// Physical frames backing a domain (for probe experiments).
@@ -165,17 +181,15 @@ impl Sep {
     ///
     /// [`SubstrateError::NoSuchDomain`].
     pub fn domain_frames(&self, domain: DomainId) -> Result<Vec<Frame>, SubstrateError> {
-        Ok(self.kdomain(domain)?.frames.clone())
-    }
-
-    const MEM_BASE: u64 = 0x10_0000;
-
-    fn kdomain(&self, id: DomainId) -> Result<&SepDomain, SubstrateError> {
-        self.kstate.get(&id).ok_or(SubstrateError::NoSuchDomain(id))
+        let mem = self
+            .mems
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        Ok(mem.frames().to_vec())
     }
 
     fn initiator_for(&self, id: DomainId) -> Result<Initiator, SubstrateError> {
-        Ok(if self.kdomain(id)?.on_sep {
+        Ok(if self.on_sep(id)? {
             Initiator::Sep
         } else {
             Initiator::cpu(World::Normal)
@@ -194,6 +208,10 @@ impl Sep {
 }
 
 impl BackendPolicy for Sep {
+    fn backend_profile(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -203,88 +221,63 @@ impl BackendPolicy for Sep {
     }
 
     fn place(&mut self, id: DomainId, kind: DomainKind) -> Result<(), SubstrateError> {
-        let on_sep = matches!(kind, DomainKind::Trusted);
-        let owner = if on_sep {
-            FrameOwner::SepPrivate
-        } else {
-            FrameOwner::Normal
+        let owner = match kind {
+            DomainKind::Trusted => FrameOwner::SepPrivate,
+            DomainKind::Untrusted => FrameOwner::Normal,
         };
-        let pages = self.fabric.table().get(id)?.spec.mem_pages.max(1);
-        let frames = self
-            .machine
-            .mem
-            .alloc_n(owner, pages)
+        let pages = self.fabric.table().get(id)?.spec.mem_pages;
+        let mem = DomainMemory::alloc(&mut self.machine.mem, owner, pages)
             .map_err(|e| SubstrateError::OutOfResources(e.to_string()))?;
-        let mut aspace = AddressSpace::new();
-        for (i, frame) in frames.iter().enumerate() {
-            aspace.map(
-                VirtAddr(Self::MEM_BASE + (i * PAGE_SIZE) as u64),
-                *frame,
-                Rights::RW,
-            );
-        }
-        self.kstate.insert(
-            id,
-            SepDomain {
-                aspace,
-                frames,
-                on_sep,
-            },
-        );
+        self.mems.insert(id, mem);
         Ok(())
     }
 
     fn unplace(&mut self, id: DomainId) {
-        if let Some(k) = self.kstate.remove(&id) {
-            for frame in k.frames {
-                self.machine.mem.free(frame);
-            }
+        if let Some(mem) = self.mems.remove(&id) {
+            mem.free(&mut self.machine.mem);
         }
     }
 
-    fn crossing(&self, caller: DomainId, target: DomainId) -> Result<CrossingKind, SubstrateError> {
-        // Crossing the processor boundary costs a mailbox round trip;
-        // same-side calls are ordinary IPC.
-        if self.kdomain(caller)?.on_sep == self.kdomain(target)?.on_sep {
-            Ok(CrossingKind::Ipc)
-        } else {
-            Ok(CrossingKind::Mailbox)
-        }
-    }
-
-    fn crossing_cost(&self, kind: CrossingKind, bytes: usize) -> u64 {
-        let base = match kind {
-            CrossingKind::Mailbox => 2 * self.machine.costs.sep_mailbox,
-            _ => self.machine.costs.ipc_round_trip,
-        };
-        base + self.machine.costs.copy_cost(bytes)
-    }
-
-    fn cost_model(&self) -> fabric::CrossingCostModel {
-        // Same processor side → IPC; crossing to/from the SEP → a
-        // mailbox round trip.
-        let c = &self.machine.costs;
-        let mut m = fabric::CrossingCostModel::uniform(
-            &self.profile.name,
-            c.ipc_round_trip,
-            c.copy_per_byte_num,
-            c.copy_per_byte_den,
-            fabric::InvokeKindRule::SameSideElse {
-                same: CrossingKind::Ipc,
-                cross: CrossingKind::Mailbox,
-            },
-        );
-        m.set(
-            CrossingKind::Mailbox,
-            2 * c.sep_mailbox,
-            c.copy_per_byte_num,
-            c.copy_per_byte_den,
-        );
-        m
+    fn clock(&self) -> u64 {
+        self.machine.clock.now()
     }
 
     fn advance_clock(&mut self, cycles: u64) {
         self.machine.clock.advance(cycles);
+    }
+
+    fn read_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, SubstrateError> {
+        let initiator = self.initiator_for(domain)?;
+        let mem = self
+            .mems
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        mem.read(&mut self.machine, initiator, offset, len)
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
+    }
+
+    fn write_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError> {
+        let initiator = self.initiator_for(domain)?;
+        let mem = self
+            .mems
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        mem.write(&mut self.machine, initiator, offset, data)
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
+    }
+
+    fn domain_rng(&mut self, domain: DomainId) -> u64 {
+        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(
@@ -293,7 +286,7 @@ impl BackendPolicy for Sep {
         measurement: &Digest,
         data: &[u8],
     ) -> Result<Vec<u8>, SubstrateError> {
-        if !self.kdomain(domain)?.on_sep {
+        if !self.on_sep(domain)? {
             return Err(SubstrateError::Unsupported(
                 "sealing is a coprocessor service".into(),
             ));
@@ -307,7 +300,7 @@ impl BackendPolicy for Sep {
         measurement: &Digest,
         sealed: &[u8],
     ) -> Result<Vec<u8>, SubstrateError> {
-        if !self.kdomain(domain)?.on_sep {
+        if !self.on_sep(domain)? {
             return Err(SubstrateError::Unsupported(
                 "unsealing is a coprocessor service".into(),
             ));
@@ -327,7 +320,7 @@ impl BackendPolicy for Sep {
         measurement: Digest,
         report_data: &[u8],
     ) -> Result<AttestationEvidence, SubstrateError> {
-        if !self.kdomain(domain)?.on_sep {
+        if !self.on_sep(domain)? {
             return Err(SubstrateError::Unsupported(
                 "only coprocessor components can be attested".into(),
             ));
@@ -340,165 +333,9 @@ impl BackendPolicy for Sep {
             report_data,
         ))
     }
-}
 
-impl Substrate for Sep {
-    fn profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
-    /// Spawns a trusted component on the coprocessor.
-    fn spawn(
-        &mut self,
-        spec: DomainSpec,
-        component: Box<dyn Component>,
-    ) -> Result<DomainId, SubstrateError> {
-        fabric::spawn(self, spec, component, DomainKind::Trusted)
-    }
-
-    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
-        fabric::destroy(self, domain)
-    }
-
-    fn grant_channel(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        badge: Badge,
-    ) -> Result<ChannelCap, SubstrateError> {
-        fabric::grant_channel(self, from, to, badge)
-    }
-
-    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
-        fabric::revoke_channel(self, cap)
-    }
-
-    fn invoke(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        data: &[u8],
-    ) -> Result<Vec<u8>, SubstrateError> {
-        fabric::invoke(self, caller, cap, data)
-    }
-
-    fn invoke_batch(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        fabric::invoke_batch(self, caller, cap, payloads)
-    }
-
-    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
-        fabric::measurement(self, domain)
-    }
-
-    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
-        fabric::domain_name(self, domain)
-    }
-
-    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::seal(self, domain, data)
-    }
-
-    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::unseal(self, domain, sealed)
-    }
-
-    fn attest(
-        &mut self,
-        domain: DomainId,
-        report_data: &[u8],
-    ) -> Result<AttestationEvidence, SubstrateError> {
-        fabric::attest(self, domain, report_data)
-    }
-
-    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+    fn verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
         Ok(self.attest_key.verifying_key())
-    }
-
-    fn mem_read(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, SubstrateError> {
-        let initiator = self.initiator_for(domain)?;
-        let spans = self
-            .kdomain(domain)?
-            .aspace
-            .translate_range(
-                VirtAddr(Self::MEM_BASE.saturating_add(offset as u64)),
-                len,
-                AccessKind::Read,
-            )
-            .map_err(|e| SubstrateError::AccessDenied(format!("MMU: {e}")))?;
-        let mut out = Vec::with_capacity(len);
-        for (pa, span_len) in spans {
-            let bytes = self
-                .machine
-                .bus_read(initiator, pa, span_len)
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            out.extend_from_slice(&bytes);
-        }
-        Ok(out)
-    }
-
-    fn mem_write(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), SubstrateError> {
-        let initiator = self.initiator_for(domain)?;
-        let spans = self
-            .kdomain(domain)?
-            .aspace
-            .translate_range(
-                VirtAddr(Self::MEM_BASE.saturating_add(offset as u64)),
-                data.len(),
-                AccessKind::Write,
-            )
-            .map_err(|e| SubstrateError::AccessDenied(format!("MMU: {e}")))?;
-        let mut cursor = 0usize;
-        for (pa, span_len) in spans {
-            self.machine
-                .bus_write(initiator, pa, &data[cursor..cursor + span_len])
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            cursor += span_len;
-        }
-        Ok(())
-    }
-
-    fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        let mut child = self.rng.fork(&format!("domain-{}", domain.0));
-        child.next_u64()
-    }
-
-    fn now(&self) -> u64 {
-        self.machine.clock.now()
-    }
-
-    fn charge_cycles(&mut self, cycles: u64) {
-        BackendPolicy::advance_clock(self, cycles);
-    }
-
-    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
-        fabric::list_caps(self, domain)
-    }
-
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(&self.fabric)
-    }
-
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(&mut self.fabric)
-    }
-
-    fn cost_model(&self) -> Option<fabric::CrossingCostModel> {
-        Some(BackendPolicy::cost_model(self))
     }
 }
 
@@ -506,7 +343,9 @@ impl Substrate for Sep {
 mod tests {
     use super::*;
     use lateral_hw::machine::MachineBuilder;
+    use lateral_substrate::cap::Badge;
     use lateral_substrate::conformance;
+    use lateral_substrate::substrate::Substrate;
     use lateral_substrate::testkit::Echo;
 
     fn sep() -> Sep {

@@ -21,6 +21,10 @@
 //! * **No temporal isolation**: enclaves share the cache with everyone;
 //!   experiment E6 shows the resulting covert channel, matching §II-C's
 //!   "SGX suffers from … cache side-channel attacks".
+//!
+//! The crate is a [`BackendPolicy`] and nothing else: the fabric engine
+//! charges an EENTER/EEXIT pair whenever either endpoint is an enclave
+//! (the `AnyTrusted` rule of the cost model SGX hands its fabric).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,26 +35,25 @@ use lateral_crypto::aead::Aead;
 use lateral_crypto::rng::Drbg;
 use lateral_crypto::sign::{SigningKey, VerifyingKey};
 use lateral_crypto::Digest;
-use lateral_hw::bus::AccessKind;
 use lateral_hw::fuse::FuseAccess;
 use lateral_hw::machine::Machine;
 use lateral_hw::mem::{Frame, FrameOwner};
-use lateral_hw::mmu::{AddressSpace, Rights};
-use lateral_hw::{EnclaveId, Initiator, VirtAddr, World, PAGE_SIZE};
+use lateral_hw::mmu::DomainMemory;
+use lateral_hw::{EnclaveId, Initiator, World};
 use lateral_substrate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use lateral_substrate::attest::AttestationEvidence;
-use lateral_substrate::cap::{Badge, ChannelCap};
 use lateral_substrate::component::Component;
-use lateral_substrate::fabric::{self, BackendPolicy, CrossingKind, DomainKind, Fabric};
-use lateral_substrate::substrate::{DomainSpec, Substrate};
+use lateral_substrate::fabric::{
+    self, BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric, InvokeKindRule,
+};
+use lateral_substrate::substrate::DomainSpec;
 use lateral_substrate::{DomainId, SubstrateError};
 
 /// Name of the fused SGX root secret.
 pub const SGX_ROOT_FUSE: &str = "sgx-root";
 
 struct SgxDomain {
-    aspace: AddressSpace,
-    frames: Vec<Frame>,
+    mem: DomainMemory,
     /// `Some` for enclaves; `None` for untrusted host domains.
     enclave: Option<EnclaveId>,
 }
@@ -97,9 +100,27 @@ impl Sgx {
             .derive(SGX_ROOT_FUSE, b"quoting-enclave")
             .expect("root fuse present");
         let quoting_key = SigningKey::from_seed(&qk_seed);
+        // Touching an enclave on either side costs an EENTER/EEXIT pair;
+        // host→host is an ordinary call.
+        let c = &machine.costs;
+        let mut cost_model = CrossingCostModel::uniform(
+            c.function_call,
+            c.copy_per_byte_num,
+            c.copy_per_byte_den,
+            InvokeKindRule::AnyTrusted {
+                trusted: CrossingKind::EnclaveTransition,
+                none: CrossingKind::Local,
+            },
+        );
+        cost_model.set(
+            CrossingKind::EnclaveTransition,
+            2 * c.enclave_transition,
+            c.copy_per_byte_num,
+            c.copy_per_byte_den,
+        );
         Sgx {
             machine,
-            fabric: Fabric::new(),
+            fabric: Fabric::new(cost_model),
             kstate: BTreeMap::new(),
             next_enclave: 1,
             quoting_key,
@@ -170,7 +191,7 @@ impl Sgx {
     ///
     /// [`SubstrateError::NoSuchDomain`].
     pub fn domain_frames(&self, domain: DomainId) -> Result<Vec<Frame>, SubstrateError> {
-        Ok(self.kdomain(domain)?.frames.clone())
+        Ok(self.kdomain(domain)?.mem.frames().to_vec())
     }
 
     /// Performs one cache access attributed to `domain` — enclaves and
@@ -210,8 +231,6 @@ impl Sgx {
             .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
     }
 
-    const MEM_BASE: u64 = 0x10_0000;
-
     fn kdomain(&self, id: DomainId) -> Result<&SgxDomain, SubstrateError> {
         self.kstate.get(&id).ok_or(SubstrateError::NoSuchDomain(id))
     }
@@ -236,6 +255,10 @@ impl Sgx {
 }
 
 impl BackendPolicy for Sgx {
+    fn backend_profile(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -257,25 +280,13 @@ impl BackendPolicy for Sgx {
             Some(e) => FrameOwner::Epc(e),
             None => FrameOwner::Normal,
         };
-        let pages = self.fabric.table().get(id)?.spec.mem_pages.max(1);
-        let frames = self
-            .machine
-            .mem
-            .alloc_n(owner, pages)
+        let pages = self.fabric.table().get(id)?.spec.mem_pages;
+        let mem = DomainMemory::alloc(&mut self.machine.mem, owner, pages)
             .map_err(|e| SubstrateError::OutOfResources(e.to_string()))?;
-        let mut aspace = AddressSpace::new();
-        for (i, frame) in frames.iter().enumerate() {
-            aspace.map(
-                VirtAddr(Self::MEM_BASE + (i * PAGE_SIZE) as u64),
-                *frame,
-                Rights::RW,
-            );
-        }
         self.kstate.insert(
             id,
             SgxDomain {
-                aspace,
-                frames,
+                mem,
                 enclave: enclave_id,
             },
         );
@@ -284,9 +295,7 @@ impl BackendPolicy for Sgx {
 
     fn unplace(&mut self, id: DomainId) {
         if let Some(k) = self.kstate.remove(&id) {
-            for frame in k.frames {
-                self.machine.mem.free(frame);
-            }
+            k.mem.free(&mut self.machine.mem);
         }
     }
 
@@ -298,51 +307,48 @@ impl BackendPolicy for Sgx {
         Ok(())
     }
 
-    fn crossing(&self, caller: DomainId, target: DomainId) -> Result<CrossingKind, SubstrateError> {
-        // Crossing an enclave boundary (either direction) costs an
-        // EENTER+EEXIT pair; host→host is an ordinary call.
-        let caller_enclave = self.kdomain(caller)?.enclave.is_some();
-        let target_enclave = self.kdomain(target)?.enclave.is_some();
-        if caller_enclave || target_enclave {
-            Ok(CrossingKind::EnclaveTransition)
-        } else {
-            Ok(CrossingKind::Local)
-        }
-    }
-
-    fn crossing_cost(&self, kind: CrossingKind, bytes: usize) -> u64 {
-        let base = match kind {
-            CrossingKind::EnclaveTransition => 2 * self.machine.costs.enclave_transition,
-            _ => self.machine.costs.function_call,
-        };
-        base + self.machine.costs.copy_cost(bytes)
-    }
-
-    fn cost_model(&self) -> fabric::CrossingCostModel {
-        // Touching an enclave on either side costs an EENTER/EEXIT
-        // pair; host→host is an ordinary call.
-        let c = &self.machine.costs;
-        let mut m = fabric::CrossingCostModel::uniform(
-            &self.profile.name,
-            c.function_call,
-            c.copy_per_byte_num,
-            c.copy_per_byte_den,
-            fabric::InvokeKindRule::AnyTrusted {
-                trusted: CrossingKind::EnclaveTransition,
-                none: CrossingKind::Local,
-            },
-        );
-        m.set(
-            CrossingKind::EnclaveTransition,
-            2 * c.enclave_transition,
-            c.copy_per_byte_num,
-            c.copy_per_byte_den,
-        );
-        m
+    fn clock(&self) -> u64 {
+        self.machine.clock.now()
     }
 
     fn advance_clock(&mut self, cycles: u64) {
         self.machine.clock.advance(cycles);
+    }
+
+    fn read_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, SubstrateError> {
+        let initiator = self.initiator_for(domain)?;
+        let k = self
+            .kstate
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        k.mem
+            .read(&mut self.machine, initiator, offset, len)
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
+    }
+
+    fn write_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError> {
+        let initiator = self.initiator_for(domain)?;
+        let k = self
+            .kstate
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        k.mem
+            .write(&mut self.machine, initiator, offset, data)
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
+    }
+
+    fn domain_rng(&mut self, domain: DomainId) -> u64 {
+        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(
@@ -404,165 +410,9 @@ impl BackendPolicy for Sgx {
             report_data,
         ))
     }
-}
 
-impl Substrate for Sgx {
-    fn profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
-    /// Spawns a component inside a fresh enclave.
-    fn spawn(
-        &mut self,
-        spec: DomainSpec,
-        component: Box<dyn Component>,
-    ) -> Result<DomainId, SubstrateError> {
-        fabric::spawn(self, spec, component, DomainKind::Trusted)
-    }
-
-    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
-        fabric::destroy(self, domain)
-    }
-
-    fn grant_channel(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        badge: Badge,
-    ) -> Result<ChannelCap, SubstrateError> {
-        fabric::grant_channel(self, from, to, badge)
-    }
-
-    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
-        fabric::revoke_channel(self, cap)
-    }
-
-    fn invoke(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        data: &[u8],
-    ) -> Result<Vec<u8>, SubstrateError> {
-        fabric::invoke(self, caller, cap, data)
-    }
-
-    fn invoke_batch(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        fabric::invoke_batch(self, caller, cap, payloads)
-    }
-
-    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
-        fabric::measurement(self, domain)
-    }
-
-    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
-        fabric::domain_name(self, domain)
-    }
-
-    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::seal(self, domain, data)
-    }
-
-    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::unseal(self, domain, sealed)
-    }
-
-    fn attest(
-        &mut self,
-        domain: DomainId,
-        report_data: &[u8],
-    ) -> Result<AttestationEvidence, SubstrateError> {
-        fabric::attest(self, domain, report_data)
-    }
-
-    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+    fn verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
         Ok(self.quoting_key.verifying_key())
-    }
-
-    fn mem_read(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, SubstrateError> {
-        let initiator = self.initiator_for(domain)?;
-        let spans = self
-            .kdomain(domain)?
-            .aspace
-            .translate_range(
-                VirtAddr(Self::MEM_BASE.saturating_add(offset as u64)),
-                len,
-                AccessKind::Read,
-            )
-            .map_err(|e| SubstrateError::AccessDenied(format!("MMU: {e}")))?;
-        let mut out = Vec::with_capacity(len);
-        for (pa, span_len) in spans {
-            let bytes = self
-                .machine
-                .bus_read(initiator, pa, span_len)
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            out.extend_from_slice(&bytes);
-        }
-        Ok(out)
-    }
-
-    fn mem_write(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), SubstrateError> {
-        let initiator = self.initiator_for(domain)?;
-        let spans = self
-            .kdomain(domain)?
-            .aspace
-            .translate_range(
-                VirtAddr(Self::MEM_BASE.saturating_add(offset as u64)),
-                data.len(),
-                AccessKind::Write,
-            )
-            .map_err(|e| SubstrateError::AccessDenied(format!("MMU: {e}")))?;
-        let mut cursor = 0usize;
-        for (pa, span_len) in spans {
-            self.machine
-                .bus_write(initiator, pa, &data[cursor..cursor + span_len])
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            cursor += span_len;
-        }
-        Ok(())
-    }
-
-    fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        let mut child = self.rng.fork(&format!("domain-{}", domain.0));
-        child.next_u64()
-    }
-
-    fn now(&self) -> u64 {
-        self.machine.clock.now()
-    }
-
-    fn charge_cycles(&mut self, cycles: u64) {
-        BackendPolicy::advance_clock(self, cycles);
-    }
-
-    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
-        fabric::list_caps(self, domain)
-    }
-
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(&self.fabric)
-    }
-
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(&mut self.fabric)
-    }
-
-    fn cost_model(&self) -> Option<fabric::CrossingCostModel> {
-        Some(BackendPolicy::cost_model(self))
     }
 }
 
@@ -572,7 +422,9 @@ mod tests {
     use lateral_hw::machine::MachineBuilder;
     use lateral_hw::HwError;
     use lateral_substrate::attest::TrustPolicy;
+    use lateral_substrate::cap::Badge;
     use lateral_substrate::conformance;
+    use lateral_substrate::substrate::Substrate;
     use lateral_substrate::testkit::Echo;
 
     fn sgx() -> Sgx {

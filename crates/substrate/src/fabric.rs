@@ -1,18 +1,22 @@
-//! The substrate **fabric**: one engine owning the mechanics every
-//! backend used to duplicate — domain lifecycle, capability/badge
-//! checks, reentrancy guards, channel grant/revoke, sealing dispatch,
-//! and attestation-evidence assembly — parameterized by the small
-//! [`BackendPolicy`] hook trait through which a backend contributes
-//! only *policy*: memory placement, world/transition rules, its
-//! crossing-cost model, and key derivation.
+//! The substrate **fabric**: one engine owning every mechanism of the
+//! unified interface — domain lifecycle, capability/badge checks,
+//! reentrancy guards, channel grant/revoke, crossing classification and
+//! pricing, sealing dispatch, and attestation-evidence assembly. A
+//! backend is a [`BackendPolicy`] and nothing else: it contributes only
+//! *policy* (placement, the spawn charge, the invoke gate, its clock,
+//! memory access, domain randomness, seal/attest keys, its verifying key
+//! and profile), and the blanket `impl<B: BackendPolicy> Substrate for B`
+//! in this module gives it the whole [`Substrate`].
 //!
-//! The paper's §III-A demand is a *single* unified isolation interface;
-//! before this module each of the six backends re-implemented the same
-//! spawn/channel/invoke/seal/attest template around a copied
-//! [`DomainTable`], so the E2 conformance matrix partly measured
-//! implementation accidents. With the fabric, the mechanism exists
-//! once: a backend that type-checks against [`BackendPolicy`] is
-//! uniform by construction.
+//! The paper's §III-A demand is a *single* unified isolation interface,
+//! and its TCB argument (§I) asks for that interface's implementation to
+//! be as small as it can be. The mechanism therefore exists once: a
+//! backend that type-checks against [`BackendPolicy`] is uniform by
+//! construction. Its cost ladder is data too — one
+//! [`CrossingCostModel`] per backend, handed to its [`Fabric`] at
+//! construction, from which the engine takes both the crossing kind of
+//! every invoke (the model's [`InvokeKindRule`] over the endpoints'
+//! recorded [`DomainKind`]s) and its price.
 //!
 //! The engine also threads a deterministic observability layer through
 //! every invocation: a [`TraceEvent`] on the logical clock (caller,
@@ -25,12 +29,14 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use lateral_crypto::sign::VerifyingKey;
 use lateral_crypto::Digest;
 use lateral_telemetry::profile::CrossingProfile;
 use lateral_telemetry::{outcome as span_outcome, CounterId, HistogramId, LabelId, Telemetry};
 
+use crate::attacker::SubstrateProfile;
 use crate::attest::AttestationEvidence;
-use crate::cap::{Badge, CapTable, ChannelCap};
+use crate::cap::{Badge, CapEntry, CapTable, ChannelCap};
 use crate::component::{Component, ComponentError, Invocation};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::substrate::{CallCtx, DomainRecord, DomainSpec, DomainTable, Substrate};
@@ -54,8 +60,8 @@ pub enum DomainKind {
 }
 
 /// How an invocation crosses (or does not cross) an isolation boundary.
-/// Classified by the backend's [`BackendPolicy::crossing`] hook; the
-/// engine uses it for cost charging and the trace.
+/// The engine classifies every invoke by its backend's
+/// [`InvokeKindRule`], then prices and traces it by this kind.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum CrossingKind {
     /// Same protection context — a (dynamic) function call.
@@ -147,11 +153,10 @@ impl std::fmt::Display for CrossingKind {
 }
 
 /// How a backend classifies an ordinary cross-domain invoke, expressed
-/// as *data* so an optimizer can predict the crossing kind of a
-/// hypothetical placement without spawning anything. Mirrors the
-/// [`BackendPolicy::crossing`] decision of each backend: the inputs are
-/// the two endpoints' [`DomainKind`] placements (the only state those
-/// decisions consult).
+/// as *data*: the engine classifies every invoke with it, from the two
+/// endpoints' recorded [`DomainKind`] placements, and an optimizer
+/// predicts the crossing kind of a hypothetical placement with the same
+/// rule without spawning anything.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum InvokeKindRule {
     /// Every invoke is the same kind (software, microkernel, flicker).
@@ -202,8 +207,8 @@ impl InvokeKindRule {
 }
 
 /// One crossing kind's price: `base + bytes * per_byte_num /
-/// per_byte_den` cycles — the same affine shape every backend's
-/// [`BackendPolicy::crossing_cost`] takes.
+/// per_byte_den` cycles — the affine shape every crossing the engine
+/// charges takes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CostEntry {
     /// Fixed cycles per crossing (world switch, IPC round trip, …).
@@ -216,6 +221,7 @@ pub struct CostEntry {
 
 impl CostEntry {
     /// The price of one crossing carrying `bytes` payload bytes.
+    #[inline]
     #[must_use]
     pub fn price(&self, bytes: u64) -> u64 {
         self.base + bytes * self.per_byte_num / self.per_byte_den.max(1)
@@ -232,15 +238,14 @@ impl CostEntry {
 
 /// A backend's crossing-cost table *as data*: one [`CostEntry`] per
 /// [`CrossingKind`] plus the [`InvokeKindRule`] describing which kind
-/// an ordinary invoke is charged. Exposed by
-/// [`BackendPolicy::cost_model`] (and `Substrate::cost_model`), this is
-/// the introspection surface the placement optimizer prices
-/// hypothetical placements against — the same numbers
-/// [`BackendPolicy::crossing_cost`] charges at run time, readable
-/// without running anything.
+/// an ordinary invoke is charged. It is the backend's one cost
+/// description: the backend hands it to its [`Fabric`], the engine
+/// classifies and prices every crossing from it, and
+/// `Substrate::cost_model` exposes the same table to the placement
+/// optimizer, which prices hypothetical placements without running
+/// anything.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CrossingCostModel {
-    backend: String,
     entries: [CostEntry; CrossingKind::COUNT],
     rule: InvokeKindRule,
 }
@@ -258,19 +263,16 @@ pub const ALL_CROSSING_KINDS: [CrossingKind; CrossingKind::COUNT] = [
 ];
 
 impl CrossingCostModel {
-    /// A model charging every kind the same entry — backends whose
-    /// `crossing_cost` ignores the kind start here and
-    /// [`CrossingCostModel::set`] the exceptions.
+    /// A model charging every kind the same entry — backends start
+    /// here and [`CrossingCostModel::set`] the exceptions.
     #[must_use]
     pub fn uniform(
-        backend: &str,
         base: u64,
         per_byte_num: u64,
         per_byte_den: u64,
         rule: InvokeKindRule,
     ) -> CrossingCostModel {
         CrossingCostModel {
-            backend: backend.to_string(),
             entries: [CostEntry {
                 base,
                 per_byte_num,
@@ -289,12 +291,6 @@ impl CrossingCostModel {
         };
     }
 
-    /// The backend this model describes (its profile name).
-    #[must_use]
-    pub fn backend(&self) -> &str {
-        &self.backend
-    }
-
     /// The invoke-kind classification rule.
     #[must_use]
     pub fn rule(&self) -> InvokeKindRule {
@@ -302,6 +298,7 @@ impl CrossingCostModel {
     }
 
     /// The entry for one kind.
+    #[inline]
     #[must_use]
     pub fn entry(&self, kind: CrossingKind) -> &CostEntry {
         &self.entries[kind.code() as usize]
@@ -313,16 +310,10 @@ impl CrossingCostModel {
     }
 
     /// The price of one `kind` crossing with `bytes` payload bytes.
+    #[inline]
     #[must_use]
     pub fn price(&self, kind: CrossingKind, bytes: u64) -> u64 {
         self.entry(kind).price(bytes)
-    }
-
-    /// The kind an invoke between the given placements would be
-    /// charged.
-    #[must_use]
-    pub fn invoke_kind(&self, caller: DomainKind, target: DomainKind) -> CrossingKind {
-        self.rule.kind(caller, target)
     }
 
     /// Prices `calls` ordinary invokes carrying `total_bytes` between
@@ -335,7 +326,7 @@ impl CrossingCostModel {
         calls: u64,
         total_bytes: u64,
     ) -> u64 {
-        self.entry(self.invoke_kind(caller, target))
+        self.entry(self.rule.kind(caller, target))
             .price_bulk(calls, total_bytes)
     }
 
@@ -605,10 +596,11 @@ fn cached_counter(
 }
 
 /// The per-substrate fabric state: the domain table (the single copy),
-/// the trace ring buffer, and the aggregate counters. Each backend owns
-/// exactly one `Fabric` instead of its own `DomainTable`.
+/// the backend's cost model, the trace ring buffer, and the aggregate
+/// counters. Each backend owns exactly one `Fabric`.
 pub struct Fabric {
     table: DomainTable,
+    cost_model: CrossingCostModel,
     trace: VecDeque<TraceEvent>,
     trace_capacity: usize,
     next_seq: u64,
@@ -625,12 +617,6 @@ pub struct Fabric {
     metric_ids: FabricMetricIds,
 }
 
-impl Default for Fabric {
-    fn default() -> Fabric {
-        Fabric::new()
-    }
-}
-
 impl std::fmt::Debug for Fabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -643,15 +629,18 @@ impl std::fmt::Debug for Fabric {
 }
 
 impl Fabric {
-    /// An empty fabric with the default trace capacity.
-    pub fn new() -> Fabric {
-        Fabric::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
+    /// An empty fabric charging crossings by `cost_model`, with the
+    /// default trace capacity.
+    pub fn new(cost_model: CrossingCostModel) -> Fabric {
+        Fabric::with_trace_capacity(cost_model, DEFAULT_TRACE_CAPACITY)
     }
 
-    /// An empty fabric retaining up to `capacity` trace events.
-    pub fn with_trace_capacity(capacity: usize) -> Fabric {
+    /// An empty fabric charging crossings by `cost_model`, retaining up
+    /// to `capacity` trace events.
+    pub fn with_trace_capacity(cost_model: CrossingCostModel, capacity: usize) -> Fabric {
         Fabric {
             table: DomainTable::new(),
+            cost_model,
             trace: VecDeque::with_capacity(capacity.min(DEFAULT_TRACE_CAPACITY)),
             trace_capacity: capacity.max(1),
             next_seq: 0,
@@ -671,7 +660,7 @@ impl Fabric {
     }
 
     /// The domain table (write side) — for backend placement hooks and
-    /// tests; normal operation goes through the engine functions.
+    /// tests; normal operation goes through the engine.
     pub fn table_mut(&mut self) -> &mut DomainTable {
         &mut self.table
     }
@@ -679,6 +668,30 @@ impl Fabric {
     /// The aggregate counters.
     pub fn stats(&self) -> &FabricStats {
         &self.stats
+    }
+
+    /// The cost model every crossing is classified and priced by.
+    pub fn cost_model(&self) -> &CrossingCostModel {
+        &self.cost_model
+    }
+
+    /// The crossing an invoke `caller → target` makes: the cost model's
+    /// [`InvokeKindRule`] over the endpoints' recorded placements.
+    ///
+    /// # Errors
+    ///
+    /// [`SubstrateError::NoSuchDomain`] for a missing endpoint, where
+    /// the rule consults placements.
+    #[inline]
+    fn crossing(&self, caller: DomainId, target: DomainId) -> Result<CrossingKind, SubstrateError> {
+        let rule = self.cost_model.rule();
+        if let InvokeKindRule::Always(kind) = rule {
+            // No placement lookups on the per-invoke path of backends
+            // whose every invoke is the same kind.
+            return Ok(kind);
+        }
+        let kind_of = |id| self.table.get(id).map(|rec| rec.kind);
+        Ok(rule.kind(kind_of(caller)?, kind_of(target)?))
     }
 
     /// The causal telemetry collector: every engine operation lands as
@@ -771,6 +784,7 @@ impl Fabric {
     /// Advances the fault plan for one observed operation on `id` and
     /// reports whether a fault fires now. Returns `false` for ids not
     /// in the table (nothing to match a name against).
+    #[inline]
     fn fault_fires(&mut self, id: DomainId, kind: FaultKind) -> bool {
         let Ok(rec) = self.table.get(id) else {
             return false;
@@ -781,6 +795,7 @@ impl Fabric {
     /// The interned span labels for `id`, computed (four interns, one
     /// name clone) the first time a domain is seen and a `Copy` cache
     /// hit ever after. `None` when the domain is not in the table.
+    #[inline]
     fn domain_labels(&mut self, id: DomainId) -> Option<DomainLabels> {
         let idx = id.0 as usize;
         if let Some(Some(labels)) = self.domain_labels.get(idx) {
@@ -914,6 +929,7 @@ impl Fabric {
     /// the per-domain / per-channel (`caller`, `slot`) / per-crossing
     /// stats. Public so the shard layer records cross-shard dispatches
     /// with byte-identical accounting to intra-shard ones.
+    #[inline]
     pub fn record(&mut self, event: TraceEvent, slot: u32, reply_bytes: u64) {
         let moved = event.bytes + reply_bytes;
         {
@@ -962,12 +978,23 @@ impl Fabric {
     }
 }
 
-/// The policy hooks a backend implements instead of the full mechanics.
-/// Everything else — lifecycle, capability checks, reentrancy, channel
-/// management, tracing — is supplied by the engine functions in this
-/// module, which backends delegate their [`Substrate`] methods to.
-pub trait BackendPolicy: Substrate {
-    /// The backend's fabric (domain table + trace + stats).
+/// What a backend contributes — the policy that really differs between
+/// isolation mechanisms — and nothing else: placement, the spawn
+/// charge, the invoke gate, its clock, memory access, domain
+/// randomness, seal/attest keys, its verifying key and its profile.
+/// The blanket `impl<B: BackendPolicy> Substrate for B` below is the
+/// engine that turns these hooks into the whole [`Substrate`]; crossing
+/// kinds and prices come from the [`CrossingCostModel`] the backend gave
+/// its [`Fabric`].
+///
+/// Hook names differ from the [`Substrate`] methods they serve
+/// (`clock` for `now`, `read_mem` for `mem_read`, …), so a call site
+/// with both traits in scope is never ambiguous.
+pub trait BackendPolicy {
+    /// The backend's self-description, served as [`Substrate::profile`].
+    fn backend_profile(&self) -> &SubstrateProfile;
+
+    /// The backend's fabric (domain table, trace, stats, cost model).
     fn fabric(&self) -> &Fabric;
 
     /// Mutable access to the backend's fabric.
@@ -1019,27 +1046,44 @@ pub trait BackendPolicy: Substrate {
         let _ = (caller, target);
     }
 
-    /// Classifies the isolation crossing `caller → target`.
+    /// The backend's logical clock in cycles, served as
+    /// [`Substrate::now`].
+    fn clock(&self) -> u64;
+
+    /// Advances the backend's logical clock by `cycles` — every crossing
+    /// charge, and [`Substrate::charge_cycles`].
+    fn advance_clock(&mut self, cycles: u64);
+
+    /// Reads `len` bytes at `offset` of `domain`'s private memory,
+    /// served as [`Substrate::mem_read`].
     ///
     /// # Errors
     ///
-    /// [`SubstrateError::NoSuchDomain`] if placement state is missing.
-    fn crossing(&self, caller: DomainId, target: DomainId) -> Result<CrossingKind, SubstrateError>;
+    /// [`SubstrateError::NoSuchDomain`]; [`SubstrateError::AccessDenied`]
+    /// for accesses outside the domain's memory.
+    fn read_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, SubstrateError>;
 
-    /// Cycles a `kind` crossing costs with a `bytes`-sized payload —
-    /// the backend's cost model, read by E4 through the trace.
-    fn crossing_cost(&self, kind: CrossingKind, bytes: usize) -> u64;
+    /// Writes `data` at `offset` of `domain`'s private memory, served as
+    /// [`Substrate::mem_write`].
+    ///
+    /// # Errors
+    ///
+    /// As [`BackendPolicy::read_mem`].
+    fn write_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError>;
 
-    /// The backend's crossing-cost table *as data* — the same numbers
-    /// [`BackendPolicy::crossing_cost`] charges, exposed so the
-    /// placement optimizer can price a hypothetical placement without
-    /// running it. Contract (pinned by the conformance suite): for
-    /// every kind and payload size,
-    /// `cost_model().price(kind, bytes) == crossing_cost(kind, bytes)`.
-    fn cost_model(&self) -> CrossingCostModel;
-
-    /// Advances the backend's logical clock by `cycles`.
-    fn advance_clock(&mut self, cycles: u64);
+    /// Domain-scoped randomness, deterministic per run, served as
+    /// [`Substrate::rng_u64`].
+    fn domain_rng(&mut self, domain: DomainId) -> u64;
 
     /// Seals `data` to `measurement` for `domain` — key derivation is
     /// the backend's (EGETKEY, fused root, TPM session, …).
@@ -1079,11 +1123,21 @@ pub trait BackendPolicy: Substrate {
         measurement: Digest,
         report_data: &[u8],
     ) -> Result<AttestationEvidence, SubstrateError>;
+
+    /// The platform's attestation verifying key, served as
+    /// [`Substrate::platform_verifying_key`].
+    ///
+    /// # Errors
+    ///
+    /// [`SubstrateError::Unsupported`] when the platform cannot attest.
+    fn verifying_key(&self) -> Result<VerifyingKey, SubstrateError>;
 }
 
-/// Engine: creates a domain — inserts the record, places it via the
-/// backend, charges the spawn cost, and runs `on_start` through the
-/// normal dispatch machinery (rolling everything back on failure).
+/// Engine: creates a domain of placement `kind` — inserts the record,
+/// places it via the backend, charges the spawn cost, and runs
+/// `on_start` through the normal dispatch machinery (rolling everything
+/// back on failure). [`Substrate::spawn`] places on the trusted side;
+/// backends call this directly for their untrusted spawns.
 ///
 /// # Errors
 ///
@@ -1102,6 +1156,7 @@ pub fn spawn<B: BackendPolicy>(
     let id = backend.fabric_mut().table_mut().insert(DomainRecord {
         spec,
         measurement,
+        kind,
         caps: CapTable::new(),
         component: Some(component),
     });
@@ -1122,7 +1177,7 @@ pub fn spawn<B: BackendPolicy>(
     // fail-stops and everything rolls back (the id stays consumed —
     // ids are never reused, fault or no fault).
     if backend.fabric_mut().fault_fires(id, FaultKind::FailSpawn) {
-        let at = backend.now();
+        let at = backend.clock();
         let fabric = backend.fabric_mut();
         let event = TraceEvent {
             seq: fabric.next_seq(),
@@ -1149,7 +1204,7 @@ pub fn spawn<B: BackendPolicy>(
     // Precompute the domain's invoke/destroy/seal/unseal labels now so
     // no later hot-path operation ever formats a span name for it.
     backend.fabric_mut().domain_labels(id);
-    let at = backend.now();
+    let at = backend.clock();
     let span = backend
         .fabric_mut()
         .telemetry
@@ -1157,7 +1212,7 @@ pub fn spawn<B: BackendPolicy>(
     let mut comp = match backend.fabric_mut().table_mut().take_component(id) {
         Ok(c) => c,
         Err(e) => {
-            let at = backend.now();
+            let at = backend.clock();
             backend
                 .fabric_mut()
                 .telemetry
@@ -1170,150 +1225,54 @@ pub fn spawn<B: BackendPolicy>(
         comp.on_start(&mut ctx)
     };
     backend.fabric_mut().table_mut().put_component(id, comp);
-    match result {
-        Ok(()) => {
-            let at = backend.now();
-            backend
-                .fabric_mut()
-                .telemetry
-                .end_span(span, at, span_outcome::OK);
-            Ok(id)
+    let outcome = match result {
+        Ok(()) => span_outcome::OK,
+        Err(_) => {
+            backend.destroy(id)?;
+            span_outcome::FAILED
         }
-        Err(e) => {
-            destroy(backend, id)?;
-            let at = backend.now();
-            backend
-                .fabric_mut()
-                .telemetry
-                .end_span(span, at, span_outcome::FAILED);
-            Err(SubstrateError::ComponentFailure(e.0))
-        }
-    }
+    };
+    let at = backend.clock();
+    backend.fabric_mut().telemetry.end_span(span, at, outcome);
+    result
+        .map(|()| id)
+        .map_err(|ComponentError(msg)| SubstrateError::ComponentFailure(msg))
 }
 
-/// Engine: destroys a domain. The table removal revokes every
-/// capability *targeting* the domain in all other domains — identical
-/// semantics on every backend (a respawned successor gets a fresh id
-/// and fresh nonces, so stale caps stay dead) — then the backend frees
-/// placement resources.
-///
-/// # Errors
-///
-/// [`SubstrateError::NoSuchDomain`].
-pub fn destroy<B: BackendPolicy>(backend: &mut B, id: DomainId) -> Result<(), SubstrateError> {
-    backend.fabric().table().get(id)?;
-    let labels = backend
-        .fabric_mut()
-        .domain_labels(id)
-        .expect("domain exists: just validated");
-    backend.fabric_mut().table_mut().remove(id)?;
-    backend.unplace(id);
-    let at = backend.now();
-    let fabric = backend.fabric_mut();
-    fabric.forget_domain(id);
-    fabric.clear_crashed(id);
-    fabric.clear_domain_labels(id);
-    fabric
-        .telemetry
-        .instant_label(labels.destroy, "fabric", at, span_outcome::OK);
-    Ok(())
-}
-
-/// Engine: grants a channel `from → to` carrying `badge`.
-///
-/// # Errors
-///
-/// [`SubstrateError::NoSuchDomain`] for missing endpoints.
-pub fn grant_channel<B: BackendPolicy>(
-    backend: &mut B,
-    from: DomainId,
-    to: DomainId,
-    badge: Badge,
-) -> Result<ChannelCap, SubstrateError> {
-    let span_label = backend.fabric_mut().grant_label(from, to)?;
-    if backend.fabric_mut().fault_fires(to, FaultKind::DenyGrant) {
-        let at = backend.now();
-        let fabric = backend.fabric_mut();
-        fabric.note_denial(from);
-        let event = TraceEvent {
-            seq: fabric.next_seq(),
-            at,
-            caller: from,
-            callee: to,
-            badge,
-            bytes: 0,
-            crossing: CrossingKind::Local,
-            cost: 0,
-            outcome: TraceOutcome::Injected,
-        };
-        fabric.record_fault(event);
-        fabric
-            .telemetry
-            .instant_label(span_label, "fabric", at, span_outcome::INJECTED);
-        return Err(SubstrateError::AccessDenied(
-            "injected fault: channel grant denied".into(),
-        ));
-    }
-    let at = backend.now();
-    backend
-        .fabric_mut()
-        .telemetry
-        .instant_label(span_label, "fabric", at, span_outcome::OK);
-    let rec = backend.fabric_mut().table_mut().get_mut(from)?;
-    Ok(rec.caps.install(from, to, badge))
-}
-
-/// Engine: revokes a channel.
-///
-/// # Errors
-///
-/// [`SubstrateError::NoSuchDomain`] if the owner is gone.
-pub fn revoke_channel<B: BackendPolicy>(
-    backend: &mut B,
-    cap: &ChannelCap,
-) -> Result<(), SubstrateError> {
-    let rec = backend.fabric_mut().table_mut().get_mut(cap.owner)?;
-    rec.caps.revoke(cap.slot);
-    Ok(())
-}
-
-/// Engine: the invocation path. Validates the capability (recording
-/// denials), runs the backend gate (recording reentrancy faults),
-/// classifies and charges the crossing, dispatches take-out/put-back,
-/// and records the trace event + counters.
-///
-/// # Errors
-///
-/// See [`Substrate::invoke`].
-pub fn invoke<B: BackendPolicy>(
+/// The shared front of [`Substrate::invoke`] and
+/// [`Substrate::invoke_batch`]: validates the capability (counting a
+/// denial) and interns the span label. Calls into an already-crashed
+/// target fail fast here and land in the trace — E10 counts these as
+/// lost invocations. The event records the crossing the call *would*
+/// have made (a crashed SGX domain is still behind an enclave boundary)
+/// with zero cost, since nothing was dispatched.
+fn admit_invoke<B: BackendPolicy>(
     backend: &mut B,
     caller: DomainId,
     cap: &ChannelCap,
-    data: &[u8],
-) -> Result<Vec<u8>, SubstrateError> {
-    let entry = {
-        let table = backend.fabric().table();
-        let caller_rec = table.get(caller)?;
-        match caller_rec.caps.lookup(caller, cap) {
-            Ok(e) => e,
-            Err(e) => {
-                backend.fabric_mut().note_denial(caller);
-                return Err(e);
-            }
+    bytes: u64,
+) -> Result<(CapEntry, LabelId), SubstrateError> {
+    let lookup = backend
+        .fabric()
+        .table()
+        .get(caller)?
+        .caps
+        .lookup(caller, cap);
+    let entry = match lookup {
+        Ok(entry) => entry,
+        Err(e) => {
+            backend.fabric_mut().note_denial(caller);
+            return Err(e);
         }
     };
     let target = entry.target;
     let span_label = invoke_label(backend, target);
-    // Fail-stop window: calls into an already-crashed domain fail fast
-    // and land in the trace — E10 counts these as lost invocations.
     if backend.fabric().is_crashed(target) {
-        // The event records the crossing the call *would* have made —
-        // a crashed SGX domain is still behind an enclave boundary —
-        // with zero cost (nothing was dispatched).
         let crossing = backend
+            .fabric()
             .crossing(caller, target)
             .unwrap_or(CrossingKind::Local);
-        let at = backend.now();
+        let at = backend.clock();
         let fabric = backend.fabric_mut();
         fabric.note_denial(caller);
         let event = TraceEvent {
@@ -1322,7 +1281,7 @@ pub fn invoke<B: BackendPolicy>(
             caller,
             callee: target,
             badge: entry.badge,
-            bytes: data.len() as u64,
+            bytes,
             crossing,
             cost: 0,
             outcome: TraceOutcome::Crashed,
@@ -1333,35 +1292,48 @@ pub fn invoke<B: BackendPolicy>(
             .instant_label(span_label, "fabric", at, span_outcome::CRASHED);
         return Err(SubstrateError::DomainCrashed(target));
     }
-    // Scheduled crash: this dispatch attempt is the Nth — the component
-    // never runs, the domain fail-stops until destroyed and respawned.
-    if backend.fabric_mut().fault_fires(target, FaultKind::Crash) {
-        let crossing = backend
-            .crossing(caller, target)
-            .unwrap_or(CrossingKind::Local);
-        let at = backend.now();
-        let fabric = backend.fabric_mut();
-        fabric.mark_crashed(target);
-        let event = TraceEvent {
-            seq: fabric.next_seq(),
-            at,
-            caller,
-            callee: target,
-            badge: entry.badge,
-            bytes: data.len() as u64,
-            crossing,
-            cost: 0,
-            outcome: TraceOutcome::Injected,
-        };
-        fabric.record_fault(event);
-        fabric
-            .telemetry
-            .instant_label(span_label, "fabric", at, span_outcome::INJECTED);
-        return Err(SubstrateError::DomainCrashed(target));
-    }
+    Ok((entry, span_label))
+}
+
+/// Records a scheduled crash firing on the dispatch of `bytes` through
+/// `entry`: the component never runs, and the target fail-stops until
+/// destroyed and respawned.
+fn record_injected_crash<B: BackendPolicy>(
+    backend: &mut B,
+    caller: DomainId,
+    entry: &CapEntry,
+    bytes: u64,
+    crossing: CrossingKind,
+) -> SubstrateError {
+    let at = backend.clock();
+    let fabric = backend.fabric_mut();
+    fabric.mark_crashed(entry.target);
+    let event = TraceEvent {
+        seq: fabric.next_seq(),
+        at,
+        caller,
+        callee: entry.target,
+        badge: entry.badge,
+        bytes,
+        crossing,
+        cost: 0,
+        outcome: TraceOutcome::Injected,
+    };
+    fabric.record_fault(event);
+    SubstrateError::DomainCrashed(entry.target)
+}
+
+/// Runs the backend's invoke gate (counting a refused re-entry) and
+/// classifies the crossing, closing the gate again if that fails.
+fn enter_invoke<B: BackendPolicy>(
+    backend: &mut B,
+    caller: DomainId,
+    target: DomainId,
+    span_label: LabelId,
+) -> Result<CrossingKind, SubstrateError> {
     if let Err(e) = backend.begin_invoke(caller, target) {
         if matches!(e, SubstrateError::Reentrancy(_)) {
-            let at = backend.now();
+            let at = backend.clock();
             let fabric = backend.fabric_mut();
             fabric.note_reentrancy(caller);
             fabric
@@ -1370,49 +1342,28 @@ pub fn invoke<B: BackendPolicy>(
         }
         return Err(e);
     }
-    let crossing = match backend.crossing(caller, target) {
-        Ok(kind) => kind,
-        Err(e) => {
-            backend.end_invoke(caller, target);
-            return Err(e);
-        }
-    };
-    let cost = backend.crossing_cost(crossing, data.len());
-    backend.advance_clock(cost);
-    let at = backend.now();
-    let span = backend
-        .fabric_mut()
-        .telemetry
-        .begin_span_label(span_label, "fabric", at);
-    let result = run_component(backend, target, entry.badge, data);
-    backend.end_invoke(caller, target);
-    let (outcome, reply_bytes) = match &result {
+    let crossing = backend.fabric().crossing(caller, target);
+    if crossing.is_err() {
+        backend.end_invoke(caller, target);
+    }
+    crossing
+}
+
+/// The trace outcome and reply size of one dispatch, counting a refused
+/// re-entry against `caller`.
+fn classify<B: BackendPolicy>(
+    backend: &mut B,
+    caller: DomainId,
+    result: &Result<Vec<u8>, SubstrateError>,
+) -> (TraceOutcome, u64) {
+    match result {
         Ok(reply) => (TraceOutcome::Ok, reply.len() as u64),
         Err(SubstrateError::Reentrancy(_)) => {
             backend.fabric_mut().note_reentrancy(caller);
             (TraceOutcome::Reentrancy, 0)
         }
         Err(_) => (TraceOutcome::Failed, 0),
-    };
-    let span_end = backend.now();
-    backend
-        .fabric_mut()
-        .telemetry
-        .end_span(span, span_end, outcome.code());
-    let fabric = backend.fabric_mut();
-    let event = TraceEvent {
-        seq: fabric.next_seq(),
-        at,
-        caller,
-        callee: target,
-        badge: entry.badge,
-        bytes: data.len() as u64,
-        crossing,
-        cost,
-        outcome,
-    };
-    fabric.record(event, cap.slot, reply_bytes);
-    result
+    }
 }
 
 /// The interned `invoke {name}` label for `target`, falling back to
@@ -1424,169 +1375,6 @@ fn invoke_label<B: BackendPolicy>(backend: &mut B, target: DomainId) -> LabelId 
             let name = format!("invoke domain{}", target.0);
             backend.fabric_mut().telemetry.intern(&name)
         }
-    }
-}
-
-/// Engine: the batched invocation path. Validates the capability once,
-/// runs the backend gate once, classifies the crossing once, and opens
-/// a *single* span for the whole batch — then dispatches each payload
-/// with exactly the per-payload effects of [`invoke`]: the crossing
-/// cost is charged per payload, every dispatch lands in the trace ring
-/// and counters byte-identically to the loop equivalent, and scheduled
-/// crash faults fire at the same dispatch attempt. On the first error
-/// the batch stops (exactly where a `for` loop over [`invoke`] would
-/// have stopped) and returns it.
-///
-/// The only observable difference from the loop is the span tree: one
-/// `invoke {name}` span instead of N.
-///
-/// # Errors
-///
-/// See [`Substrate::invoke`]; the error is the first failing payload's.
-pub fn invoke_batch<B: BackendPolicy>(
-    backend: &mut B,
-    caller: DomainId,
-    cap: &ChannelCap,
-    payloads: &[&[u8]],
-) -> Result<Vec<Vec<u8>>, SubstrateError> {
-    if payloads.is_empty() {
-        return Ok(Vec::new());
-    }
-    let entry = {
-        let table = backend.fabric().table();
-        let caller_rec = table.get(caller)?;
-        match caller_rec.caps.lookup(caller, cap) {
-            Ok(e) => e,
-            Err(e) => {
-                backend.fabric_mut().note_denial(caller);
-                return Err(e);
-            }
-        }
-    };
-    let target = entry.target;
-    let span_label = invoke_label(backend, target);
-    if backend.fabric().is_crashed(target) {
-        // Identical to the single-invoke fail-stop window: one denial,
-        // one Crashed event for the first payload, fail the batch fast.
-        let crossing = backend
-            .crossing(caller, target)
-            .unwrap_or(CrossingKind::Local);
-        let at = backend.now();
-        let fabric = backend.fabric_mut();
-        fabric.note_denial(caller);
-        let event = TraceEvent {
-            seq: fabric.next_seq(),
-            at,
-            caller,
-            callee: target,
-            badge: entry.badge,
-            bytes: payloads[0].len() as u64,
-            crossing,
-            cost: 0,
-            outcome: TraceOutcome::Crashed,
-        };
-        fabric.record_fault(event);
-        fabric
-            .telemetry
-            .instant_label(span_label, "fabric", at, span_outcome::CRASHED);
-        return Err(SubstrateError::DomainCrashed(target));
-    }
-    if let Err(e) = backend.begin_invoke(caller, target) {
-        if matches!(e, SubstrateError::Reentrancy(_)) {
-            let at = backend.now();
-            let fabric = backend.fabric_mut();
-            fabric.note_reentrancy(caller);
-            fabric
-                .telemetry
-                .instant_label(span_label, "fabric", at, span_outcome::REENTRANCY);
-        }
-        return Err(e);
-    }
-    let crossing = match backend.crossing(caller, target) {
-        Ok(kind) => kind,
-        Err(e) => {
-            backend.end_invoke(caller, target);
-            return Err(e);
-        }
-    };
-    let span_at = backend.now();
-    let span = backend
-        .fabric_mut()
-        .telemetry
-        .begin_span_label(span_label, "fabric", span_at);
-    let mut replies = Vec::with_capacity(payloads.len());
-    let mut batch_err = None;
-    for data in payloads {
-        // Scheduled crash faults advance per dispatch attempt, so the
-        // Nth payload of a batch fires the same fault the Nth loop
-        // iteration would.
-        if backend.fabric_mut().fault_fires(target, FaultKind::Crash) {
-            let at = backend.now();
-            let fabric = backend.fabric_mut();
-            fabric.mark_crashed(target);
-            let event = TraceEvent {
-                seq: fabric.next_seq(),
-                at,
-                caller,
-                callee: target,
-                badge: entry.badge,
-                bytes: data.len() as u64,
-                crossing,
-                cost: 0,
-                outcome: TraceOutcome::Injected,
-            };
-            fabric.record_fault(event);
-            batch_err = Some(SubstrateError::DomainCrashed(target));
-            break;
-        }
-        let cost = backend.crossing_cost(crossing, data.len());
-        backend.advance_clock(cost);
-        let at = backend.now();
-        let result = run_component(backend, target, entry.badge, data);
-        let (outcome, reply_bytes) = match &result {
-            Ok(reply) => (TraceOutcome::Ok, reply.len() as u64),
-            Err(SubstrateError::Reentrancy(_)) => {
-                backend.fabric_mut().note_reentrancy(caller);
-                (TraceOutcome::Reentrancy, 0)
-            }
-            Err(_) => (TraceOutcome::Failed, 0),
-        };
-        let fabric = backend.fabric_mut();
-        let event = TraceEvent {
-            seq: fabric.next_seq(),
-            at,
-            caller,
-            callee: target,
-            badge: entry.badge,
-            bytes: data.len() as u64,
-            crossing,
-            cost,
-            outcome,
-        };
-        fabric.record(event, cap.slot, reply_bytes);
-        match result {
-            Ok(reply) => replies.push(reply),
-            Err(e) => {
-                batch_err = Some(e);
-                break;
-            }
-        }
-    }
-    backend.end_invoke(caller, target);
-    let span_end = backend.now();
-    let code = match &batch_err {
-        None => span_outcome::OK,
-        Some(SubstrateError::DomainCrashed(_)) => span_outcome::INJECTED,
-        Some(SubstrateError::Reentrancy(_)) => span_outcome::REENTRANCY,
-        Some(_) => span_outcome::FAILED,
-    };
-    backend
-        .fabric_mut()
-        .telemetry
-        .end_span(span, span_end, code);
-    match batch_err {
-        Some(e) => Err(e),
-        None => Ok(replies),
     }
 }
 
@@ -1615,150 +1403,382 @@ fn run_component<B: BackendPolicy>(
     result.map_err(|ComponentError(msg)| SubstrateError::ComponentFailure(msg))
 }
 
-/// Engine: a domain's code identity.
-///
-/// # Errors
-///
-/// [`SubstrateError::NoSuchDomain`].
-pub fn measurement<B: BackendPolicy>(
-    backend: &B,
-    domain: DomainId,
-) -> Result<Digest, SubstrateError> {
-    Ok(backend.fabric().table().get(domain)?.measurement)
-}
+/// The engine: every backend's [`Substrate`], built once from its
+/// [`BackendPolicy`] hooks. Being generic, it is compiled into each crate
+/// that makes a `dyn Substrate` of a backend; the per-invoke helpers it
+/// calls here, in [`DomainTable`] and in [`FaultPlan`] are `#[inline]` so
+/// they inline there too.
+impl<B: BackendPolicy> Substrate for B {
+    fn profile(&self) -> &SubstrateProfile {
+        self.backend_profile()
+    }
 
-/// Engine: a domain's diagnostic name.
-///
-/// # Errors
-///
-/// [`SubstrateError::NoSuchDomain`].
-pub fn domain_name<B: BackendPolicy>(
-    backend: &B,
-    domain: DomainId,
-) -> Result<String, SubstrateError> {
-    Ok(backend.fabric().table().get(domain)?.spec.name.clone())
-}
+    fn spawn(
+        &mut self,
+        spec: DomainSpec,
+        component: Box<dyn Component>,
+    ) -> Result<DomainId, SubstrateError> {
+        spawn(self, spec, component, DomainKind::Trusted)
+    }
 
-/// Engine: seals `data` to `domain`'s identity via the backend's key
-/// derivation.
-///
-/// # Errors
-///
-/// See [`Substrate::seal`].
-pub fn seal<B: BackendPolicy>(
-    backend: &mut B,
-    domain: DomainId,
-    data: &[u8],
-) -> Result<Vec<u8>, SubstrateError> {
-    let m = backend.fabric().table().get(domain)?.measurement;
-    let labels = backend
-        .fabric_mut()
-        .domain_labels(domain)
-        .expect("domain exists: just validated");
-    let mut blob = backend.seal_blob(domain, &m, data)?;
-    let at = backend.now();
-    backend
-        .fabric_mut()
-        .telemetry
-        .instant_label(labels.seal, "fabric", at, span_outcome::OK);
-    if backend
-        .fabric_mut()
-        .fault_fires(domain, FaultKind::CorruptSeal)
-    {
-        // Silent corruption: the caller gets a blob back, but its
-        // integrity check fails at unseal time.
-        if let Some(byte) = blob.last_mut() {
-            *byte ^= 0x01;
+    /// The table removal revokes every capability *targeting* the
+    /// domain in all other domains — identical semantics on every
+    /// backend (a respawned successor gets a fresh id and fresh nonces,
+    /// so stale caps stay dead) — then the backend frees placement
+    /// resources.
+    fn destroy(&mut self, id: DomainId) -> Result<(), SubstrateError> {
+        self.fabric().table().get(id)?;
+        let labels = self
+            .fabric_mut()
+            .domain_labels(id)
+            .expect("domain exists: just validated");
+        self.fabric_mut().table_mut().remove(id)?;
+        self.unplace(id);
+        let at = self.clock();
+        let fabric = self.fabric_mut();
+        fabric.forget_domain(id);
+        fabric.clear_crashed(id);
+        fabric.clear_domain_labels(id);
+        fabric
+            .telemetry
+            .instant_label(labels.destroy, "fabric", at, span_outcome::OK);
+        Ok(())
+    }
+
+    fn grant_channel(
+        &mut self,
+        from: DomainId,
+        to: DomainId,
+        badge: Badge,
+    ) -> Result<ChannelCap, SubstrateError> {
+        let span_label = self.fabric_mut().grant_label(from, to)?;
+        if self.fabric_mut().fault_fires(to, FaultKind::DenyGrant) {
+            let at = self.clock();
+            let fabric = self.fabric_mut();
+            fabric.note_denial(from);
+            let event = TraceEvent {
+                seq: fabric.next_seq(),
+                at,
+                caller: from,
+                callee: to,
+                badge,
+                bytes: 0,
+                crossing: CrossingKind::Local,
+                cost: 0,
+                outcome: TraceOutcome::Injected,
+            };
+            fabric.record_fault(event);
+            fabric
+                .telemetry
+                .instant_label(span_label, "fabric", at, span_outcome::INJECTED);
+            return Err(SubstrateError::AccessDenied(
+                "injected fault: channel grant denied".into(),
+            ));
         }
-        let at = backend.now();
-        let fabric = backend.fabric_mut();
+        let at = self.clock();
+        self.fabric_mut()
+            .telemetry
+            .instant_label(span_label, "fabric", at, span_outcome::OK);
+        let rec = self.fabric_mut().table_mut().get_mut(from)?;
+        Ok(rec.caps.install(from, to, badge))
+    }
+
+    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
+        let rec = self.fabric_mut().table_mut().get_mut(cap.owner)?;
+        rec.caps.revoke(cap.slot);
+        Ok(())
+    }
+
+    /// Validates the capability (recording denials), runs the backend
+    /// gate (recording reentrancy faults), classifies and charges the
+    /// crossing from the cost model, dispatches take-out/put-back, and
+    /// records the trace event + counters.
+    fn invoke(
+        &mut self,
+        caller: DomainId,
+        cap: &ChannelCap,
+        data: &[u8],
+    ) -> Result<Vec<u8>, SubstrateError> {
+        let bytes = data.len() as u64;
+        let (entry, span_label) = admit_invoke(self, caller, cap, bytes)?;
+        let target = entry.target;
+        // Scheduled crash: this dispatch attempt is the Nth — the
+        // component never runs, the domain fail-stops until destroyed
+        // and respawned.
+        if self.fabric_mut().fault_fires(target, FaultKind::Crash) {
+            let crossing = self
+                .fabric()
+                .crossing(caller, target)
+                .unwrap_or(CrossingKind::Local);
+            let err = record_injected_crash(self, caller, &entry, bytes, crossing);
+            let at = self.clock();
+            self.fabric_mut().telemetry.instant_label(
+                span_label,
+                "fabric",
+                at,
+                span_outcome::INJECTED,
+            );
+            return Err(err);
+        }
+        let crossing = enter_invoke(self, caller, target, span_label)?;
+        let cost = self.fabric().cost_model.price(crossing, bytes);
+        self.advance_clock(cost);
+        let at = self.clock();
+        let span = self
+            .fabric_mut()
+            .telemetry
+            .begin_span_label(span_label, "fabric", at);
+        let result = run_component(self, target, entry.badge, data);
+        self.end_invoke(caller, target);
+        let (outcome, reply_bytes) = classify(self, caller, &result);
+        let span_end = self.clock();
+        self.fabric_mut()
+            .telemetry
+            .end_span(span, span_end, outcome.code());
+        let fabric = self.fabric_mut();
         let event = TraceEvent {
             seq: fabric.next_seq(),
             at,
-            caller: domain,
-            callee: domain,
-            badge: Badge(0),
-            bytes: data.len() as u64,
-            crossing: CrossingKind::Local,
-            cost: 0,
-            outcome: TraceOutcome::Injected,
+            caller,
+            callee: target,
+            badge: entry.badge,
+            bytes,
+            crossing,
+            cost,
+            outcome,
         };
-        fabric.record_fault(event);
+        fabric.record(event, cap.slot, reply_bytes);
+        result
     }
-    Ok(blob)
-}
 
-/// Engine: reverses [`seal`].
-///
-/// # Errors
-///
-/// See [`Substrate::unseal`].
-pub fn unseal<B: BackendPolicy>(
-    backend: &mut B,
-    domain: DomainId,
-    sealed: &[u8],
-) -> Result<Vec<u8>, SubstrateError> {
-    let m = backend.fabric().table().get(domain)?.measurement;
-    let labels = backend
-        .fabric_mut()
-        .domain_labels(domain)
-        .expect("domain exists: just validated");
-    let result = backend.unseal_blob(domain, &m, sealed);
-    let at = backend.now();
-    let outcome = if result.is_ok() {
-        span_outcome::OK
-    } else {
-        span_outcome::FAILED
-    };
-    backend
-        .fabric_mut()
-        .telemetry
-        .instant_label(labels.unseal, "fabric", at, outcome);
-    result
-}
+    /// Validates the capability once, runs the backend gate once,
+    /// classifies the crossing once, and opens a *single* span for the
+    /// whole batch — then dispatches each payload with exactly the
+    /// per-payload effects of [`Substrate::invoke`]: the crossing cost
+    /// is charged per payload, every dispatch lands in the trace ring
+    /// and counters byte-identically to the loop equivalent, and
+    /// scheduled crash faults fire at the same dispatch attempt. On the
+    /// first error the batch stops (exactly where a `for` loop would
+    /// have stopped) and returns it. The only observable difference
+    /// from the loop is the span tree: one `invoke {name}` span instead
+    /// of N.
+    fn invoke_batch(
+        &mut self,
+        caller: DomainId,
+        cap: &ChannelCap,
+        payloads: &[&[u8]],
+    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
+        let Some(first) = payloads.first() else {
+            return Ok(Vec::new());
+        };
+        let (entry, span_label) = admit_invoke(self, caller, cap, first.len() as u64)?;
+        let target = entry.target;
+        let crossing = enter_invoke(self, caller, target, span_label)?;
+        let price = *self.fabric().cost_model.entry(crossing);
+        let span_at = self.clock();
+        let span = self
+            .fabric_mut()
+            .telemetry
+            .begin_span_label(span_label, "fabric", span_at);
+        let mut replies = Vec::with_capacity(payloads.len());
+        let mut batch_err = None;
+        for data in payloads {
+            let bytes = data.len() as u64;
+            // Scheduled crash faults advance per dispatch attempt, so
+            // the Nth payload of a batch fires the same fault the Nth
+            // loop iteration would.
+            if self.fabric_mut().fault_fires(target, FaultKind::Crash) {
+                batch_err = Some(record_injected_crash(self, caller, &entry, bytes, crossing));
+                break;
+            }
+            let cost = price.price(bytes);
+            self.advance_clock(cost);
+            let at = self.clock();
+            let result = run_component(self, target, entry.badge, data);
+            let (outcome, reply_bytes) = classify(self, caller, &result);
+            let fabric = self.fabric_mut();
+            let event = TraceEvent {
+                seq: fabric.next_seq(),
+                at,
+                caller,
+                callee: target,
+                badge: entry.badge,
+                bytes,
+                crossing,
+                cost,
+                outcome,
+            };
+            fabric.record(event, cap.slot, reply_bytes);
+            match result {
+                Ok(reply) => replies.push(reply),
+                Err(e) => {
+                    batch_err = Some(e);
+                    break;
+                }
+            }
+        }
+        self.end_invoke(caller, target);
+        let span_end = self.clock();
+        let code = match &batch_err {
+            None => span_outcome::OK,
+            Some(SubstrateError::DomainCrashed(_)) => span_outcome::INJECTED,
+            Some(SubstrateError::Reentrancy(_)) => span_outcome::REENTRANCY,
+            Some(_) => span_outcome::FAILED,
+        };
+        self.fabric_mut().telemetry.end_span(span, span_end, code);
+        match batch_err {
+            Some(e) => Err(e),
+            None => Ok(replies),
+        }
+    }
 
-/// Engine: assembles attestation evidence for `domain`.
-///
-/// # Errors
-///
-/// See [`Substrate::attest`].
-pub fn attest<B: BackendPolicy>(
-    backend: &mut B,
-    domain: DomainId,
-    report_data: &[u8],
-) -> Result<AttestationEvidence, SubstrateError> {
-    // No span here: whether evidence assembly succeeds is a *backend
-    // capability* (software cannot attest, SGX can), and fabric spans
-    // must stay backend-invariant. Attestation shows up causally in the
-    // remote layer's `attest.verify` / `attest.evidence` spans instead.
-    let m = backend.fabric().table().get(domain)?.measurement;
-    backend.attest_evidence(domain, m, report_data)
-}
+    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
+        Ok(self.fabric().table().get(domain)?.measurement)
+    }
 
-/// Engine: enumerates `domain`'s live capabilities.
-///
-/// # Errors
-///
-/// [`SubstrateError::NoSuchDomain`].
-pub fn list_caps<B: BackendPolicy>(
-    backend: &B,
-    domain: DomainId,
-) -> Result<Vec<ChannelCap>, SubstrateError> {
-    let rec = backend.fabric().table().get(domain)?;
-    Ok(rec
-        .caps
-        .iter()
-        .map(|(slot, e)| ChannelCap {
-            owner: domain,
-            slot,
-            nonce: e.nonce,
-        })
-        .collect())
+    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
+        Ok(self.fabric().table().get(domain)?.spec.name.clone())
+    }
+
+    /// Seals through the backend's key derivation; an injected
+    /// `CorruptSeal` fault silently flips the blob's last byte, so the
+    /// caller gets a blob whose integrity check fails at unseal time.
+    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
+        let m = self.fabric().table().get(domain)?.measurement;
+        let labels = self
+            .fabric_mut()
+            .domain_labels(domain)
+            .expect("domain exists: just validated");
+        let mut blob = self.seal_blob(domain, &m, data)?;
+        let at = self.clock();
+        self.fabric_mut()
+            .telemetry
+            .instant_label(labels.seal, "fabric", at, span_outcome::OK);
+        if self
+            .fabric_mut()
+            .fault_fires(domain, FaultKind::CorruptSeal)
+        {
+            if let Some(byte) = blob.last_mut() {
+                *byte ^= 0x01;
+            }
+            let at = self.clock();
+            let fabric = self.fabric_mut();
+            let event = TraceEvent {
+                seq: fabric.next_seq(),
+                at,
+                caller: domain,
+                callee: domain,
+                badge: Badge(0),
+                bytes: data.len() as u64,
+                crossing: CrossingKind::Local,
+                cost: 0,
+                outcome: TraceOutcome::Injected,
+            };
+            fabric.record_fault(event);
+        }
+        Ok(blob)
+    }
+
+    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
+        let m = self.fabric().table().get(domain)?.measurement;
+        let labels = self
+            .fabric_mut()
+            .domain_labels(domain)
+            .expect("domain exists: just validated");
+        let result = self.unseal_blob(domain, &m, sealed);
+        let at = self.clock();
+        let outcome = if result.is_ok() {
+            span_outcome::OK
+        } else {
+            span_outcome::FAILED
+        };
+        self.fabric_mut()
+            .telemetry
+            .instant_label(labels.unseal, "fabric", at, outcome);
+        result
+    }
+
+    /// No span here: whether evidence assembly succeeds is a *backend
+    /// capability* (software cannot attest, SGX can), and fabric spans
+    /// must stay backend-invariant. Attestation shows up causally in
+    /// the remote layer's `attest.verify` / `attest.evidence` spans
+    /// instead.
+    fn attest(
+        &mut self,
+        domain: DomainId,
+        report_data: &[u8],
+    ) -> Result<AttestationEvidence, SubstrateError> {
+        let m = self.fabric().table().get(domain)?.measurement;
+        self.attest_evidence(domain, m, report_data)
+    }
+
+    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+        self.verifying_key()
+    }
+
+    fn mem_read(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, SubstrateError> {
+        self.read_mem(domain, offset, len)
+    }
+
+    fn mem_write(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError> {
+        self.write_mem(domain, offset, data)
+    }
+
+    fn rng_u64(&mut self, domain: DomainId) -> u64 {
+        self.domain_rng(domain)
+    }
+
+    fn now(&self) -> u64 {
+        self.clock()
+    }
+
+    fn charge_cycles(&mut self, cycles: u64) {
+        self.advance_clock(cycles);
+    }
+
+    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
+        let rec = self.fabric().table().get(domain)?;
+        Ok(rec
+            .caps
+            .iter()
+            .map(|(slot, e)| ChannelCap {
+                owner: domain,
+                slot,
+                nonce: e.nonce,
+            })
+            .collect())
+    }
+
+    fn fabric_ref(&self) -> Option<&Fabric> {
+        Some(self.fabric())
+    }
+
+    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
+        Some(self.fabric_mut())
+    }
+
+    fn cost_model(&self) -> Option<CrossingCostModel> {
+        Some(self.fabric().cost_model().clone())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn free_model() -> CrossingCostModel {
+        CrossingCostModel::uniform(0, 0, 1, InvokeKindRule::Always(CrossingKind::Local))
+    }
 
     #[test]
     fn trace_event_encoding_is_stable() {
@@ -1783,7 +1803,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_caps_retention_but_not_seq() {
-        let mut f = Fabric::with_trace_capacity(2);
+        let mut f = Fabric::with_trace_capacity(free_model(), 2);
         for i in 0..5u64 {
             let seq = f.next_seq();
             f.record(
@@ -1810,7 +1830,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_per_domain_channel_and_crossing() {
-        let mut f = Fabric::new();
+        let mut f = Fabric::new(free_model());
         let seq = f.next_seq();
         f.record(
             TraceEvent {

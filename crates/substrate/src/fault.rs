@@ -174,6 +174,7 @@ impl FaultPlan {
     /// operation and reports whether any of them fires now. Transient
     /// specs fire exactly on their `after`-th match; persistent specs
     /// fire on every match from the `after`-th onward.
+    #[inline]
     pub fn observe(&mut self, domain: &str, kind: FaultKind) -> bool {
         let mut fire = false;
         for (spec, seen) in &mut self.specs {

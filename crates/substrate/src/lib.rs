@@ -21,9 +21,11 @@
 //! * [`component`] — the trusted-component programming model.
 //! * [`substrate`] — the [`substrate::Substrate`] trait itself plus the
 //!   [`substrate::DomainContext`] services components see.
-//! * [`fabric`] — the shared engine behind every backend: domain
-//!   lifecycle, capability checks, reentrancy, tracing, and stats are
-//!   implemented once; backends plug in via [`fabric::BackendPolicy`].
+//! * [`fabric`] — the one engine behind every backend: domain
+//!   lifecycle, capability checks, reentrancy, crossing pricing,
+//!   tracing, and stats are implemented once. A backend implements only
+//!   [`fabric::BackendPolicy`], and a blanket impl there gives it the
+//!   whole [`substrate::Substrate`].
 //! * [`fault`] — deterministic fault injection: a [`fault::FaultPlan`]
 //!   installed into the fabric crashes, denies, or corrupts at exact
 //!   logical positions, reproducibly, for the E10 recovery experiment.

@@ -12,9 +12,9 @@
 //!
 //! Besides being paper-faithful, this substrate is the fast reference
 //! implementation used by unit tests throughout the workspace, and the
-//! reference [`BackendPolicy`] implementation: all mechanism lives in
-//! [`crate::fabric`]; this file contributes only placement, the trivial
-//! cost model, and HKDF-based sealing.
+//! reference [`BackendPolicy`]: all mechanism lives in [`crate::fabric`];
+//! this file contributes only heap placement, the trivial cost model it
+//! hands its fabric, and HKDF-based sealing.
 //!
 //! [`AttackerModel::RemoteSoftware`]: crate::attacker::AttackerModel::RemoteSoftware
 
@@ -25,10 +25,9 @@ use lateral_crypto::Digest;
 
 use crate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use crate::attest::AttestationEvidence;
-use crate::cap::{Badge, ChannelCap};
-use crate::component::Component;
-use crate::fabric::{self, BackendPolicy, CrossingKind, DomainKind, Fabric};
-use crate::substrate::{DomainSpec, Substrate};
+use crate::fabric::{
+    BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric, InvokeKindRule,
+};
 use crate::{DomainId, SubstrateError};
 
 const PAGE: usize = 4096;
@@ -76,7 +75,13 @@ impl SoftwareSubstrate {
                 // millions of lines.
                 tcb_loc: 1_500_000,
             },
-            fabric: Fabric::new(),
+            // Every crossing is a dynamic dispatch: 5 cycles + bytes/64.
+            fabric: Fabric::new(CrossingCostModel::uniform(
+                5,
+                1,
+                64,
+                InvokeKindRule::Always(CrossingKind::Local),
+            )),
             memories: Vec::new(),
             seal_secret,
             rng,
@@ -94,6 +99,10 @@ impl SoftwareSubstrate {
 }
 
 impl BackendPolicy for SoftwareSubstrate {
+    fn backend_profile(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -121,32 +130,49 @@ impl BackendPolicy for SoftwareSubstrate {
         Ok(())
     }
 
-    fn crossing(
-        &self,
-        _caller: DomainId,
-        _target: DomainId,
-    ) -> Result<CrossingKind, SubstrateError> {
-        // Software isolation: an invocation is just a dynamic dispatch.
-        Ok(CrossingKind::Local)
-    }
-
-    fn crossing_cost(&self, _kind: CrossingKind, bytes: usize) -> u64 {
-        5 + bytes as u64 / 64
-    }
-
-    fn cost_model(&self) -> fabric::CrossingCostModel {
-        // Every crossing is a dynamic dispatch: 5 cycles + bytes/64.
-        fabric::CrossingCostModel::uniform(
-            &self.profile.name,
-            5,
-            1,
-            64,
-            fabric::InvokeKindRule::Always(CrossingKind::Local),
-        )
+    fn clock(&self) -> u64 {
+        self.clock
     }
 
     fn advance_clock(&mut self, cycles: u64) {
         self.clock += cycles;
+    }
+
+    fn read_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, SubstrateError> {
+        self.fabric.table().get(domain)?;
+        let mem = &self.memories[domain.0 as usize];
+        let end = offset
+            .checked_add(len)
+            .filter(|e| *e <= mem.len())
+            .ok_or_else(|| SubstrateError::AccessDenied("memory read out of range".into()))?;
+        self.clock += 1;
+        Ok(mem[offset..end].to_vec())
+    }
+
+    fn write_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError> {
+        self.fabric.table().get(domain)?;
+        let mem = &mut self.memories[domain.0 as usize];
+        let end = offset
+            .checked_add(data.len())
+            .filter(|e| *e <= mem.len())
+            .ok_or_else(|| SubstrateError::AccessDenied("memory write out of range".into()))?;
+        mem[offset..end].copy_from_slice(data);
+        self.clock += 1;
+        Ok(())
+    }
+
+    fn domain_rng(&mut self, domain: DomainId) -> u64 {
+        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(
@@ -184,154 +210,20 @@ impl BackendPolicy for SoftwareSubstrate {
                 .into(),
         ))
     }
-}
 
-impl Substrate for SoftwareSubstrate {
-    fn profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
-    fn spawn(
-        &mut self,
-        spec: DomainSpec,
-        component: Box<dyn Component>,
-    ) -> Result<DomainId, SubstrateError> {
-        fabric::spawn(self, spec, component, DomainKind::Trusted)
-    }
-
-    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
-        fabric::destroy(self, domain)
-    }
-
-    fn grant_channel(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        badge: Badge,
-    ) -> Result<ChannelCap, SubstrateError> {
-        fabric::grant_channel(self, from, to, badge)
-    }
-
-    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
-        fabric::revoke_channel(self, cap)
-    }
-
-    fn invoke(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        data: &[u8],
-    ) -> Result<Vec<u8>, SubstrateError> {
-        fabric::invoke(self, caller, cap, data)
-    }
-
-    fn invoke_batch(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        fabric::invoke_batch(self, caller, cap, payloads)
-    }
-
-    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
-        fabric::measurement(self, domain)
-    }
-
-    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
-        fabric::domain_name(self, domain)
-    }
-
-    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::seal(self, domain, data)
-    }
-
-    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::unseal(self, domain, sealed)
-    }
-
-    fn attest(
-        &mut self,
-        domain: DomainId,
-        report_data: &[u8],
-    ) -> Result<AttestationEvidence, SubstrateError> {
-        fabric::attest(self, domain, report_data)
-    }
-
-    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+    fn verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
         Err(SubstrateError::Unsupported(
             "software isolation cannot attest".into(),
         ))
-    }
-
-    fn mem_read(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, SubstrateError> {
-        self.fabric.table().get(domain)?;
-        let mem = &self.memories[domain.0 as usize];
-        let end = offset
-            .checked_add(len)
-            .filter(|e| *e <= mem.len())
-            .ok_or_else(|| SubstrateError::AccessDenied("memory read out of range".into()))?;
-        self.clock += 1;
-        Ok(mem[offset..end].to_vec())
-    }
-
-    fn mem_write(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), SubstrateError> {
-        self.fabric.table().get(domain)?;
-        let mem = &mut self.memories[domain.0 as usize];
-        let end = offset
-            .checked_add(data.len())
-            .filter(|e| *e <= mem.len())
-            .ok_or_else(|| SubstrateError::AccessDenied("memory write out of range".into()))?;
-        mem[offset..end].copy_from_slice(data);
-        self.clock += 1;
-        Ok(())
-    }
-
-    fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        let mut child = self.rng.fork(&format!("domain-{}", domain.0));
-        child.next_u64()
-    }
-
-    fn now(&self) -> u64 {
-        self.clock
-    }
-
-    fn charge_cycles(&mut self, cycles: u64) {
-        BackendPolicy::advance_clock(self, cycles);
-    }
-
-    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
-        fabric::list_caps(self, domain)
-    }
-
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(&self.fabric)
-    }
-
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(&mut self.fabric)
-    }
-
-    fn cost_model(&self) -> Option<fabric::CrossingCostModel> {
-        Some(BackendPolicy::cost_model(self))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{ComponentError, FnComponent, Invocation};
-    use crate::substrate::DomainContext;
+    use crate::cap::{Badge, ChannelCap};
+    use crate::component::{Component, ComponentError, FnComponent, Invocation};
+    use crate::substrate::{DomainContext, DomainSpec, Substrate};
 
     fn echo() -> Box<dyn Component> {
         Box::new(FnComponent::new("echo", |_ctx, inv: Invocation<'_>| {

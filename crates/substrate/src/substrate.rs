@@ -1,13 +1,16 @@
 //! The [`Substrate`] trait — the unified isolation interface itself —
 //! plus the [`DomainContext`] service interface components program
-//! against, and the [`DomainTable`] bookkeeping shared by all backends.
+//! against, and the [`DomainTable`] bookkeeping of the fabric engine.
 //!
 //! §III-A: *"Software components should be developed once against the
 //! common pattern and then should run on any isolation implementation."*
 //! Backends (`lateral-microkernel`, `lateral-trustzone`, `lateral-sgx`,
-//! `lateral-sep`, and [`crate::software`]) implement [`Substrate`];
-//! everything above — the component toolbox, the composer, the example
-//! applications — sees only this interface.
+//! `lateral-sep`, `lateral-flicker`, and [`crate::software`]) implement
+//! only [`crate::fabric::BackendPolicy`], and the fabric engine gives
+//! each of them this trait; [`crate::shard::ShardFabric`] implements it
+//! directly over per-shard backends. Everything above — the component
+//! toolbox, the composer, the example applications — sees only this
+//! interface.
 
 use lateral_crypto::sign::VerifyingKey;
 use lateral_crypto::Digest;
@@ -15,7 +18,8 @@ use lateral_crypto::Digest;
 use crate::attacker::SubstrateProfile;
 use crate::attest::AttestationEvidence;
 use crate::cap::{Badge, CapTable, ChannelCap};
-use crate::component::{Component, ComponentError, Invocation};
+use crate::component::Component;
+use crate::fabric::DomainKind;
 use crate::{DomainId, SubstrateError};
 
 /// Everything needed to create a protection domain hosting one component.
@@ -144,10 +148,9 @@ pub trait Substrate {
     ) -> Result<Vec<u8>, SubstrateError>;
 
     /// Invokes the same channel once per payload, returning the replies
-    /// in order. Semantically a `for` loop over [`Substrate::invoke`]
-    /// (and the default implementation is exactly that), but backends
-    /// built on the fabric engine validate the capability, run the
-    /// invocation gate, and open the telemetry span once for the whole
+    /// in order. Semantically a `for` loop over [`Substrate::invoke`],
+    /// but the fabric engine validates the capability, runs the
+    /// invocation gate, and opens the telemetry span once for the whole
     /// batch — the allocation- and validation-free hot path E13
     /// measures. Trace events and metrics are byte-identical to the
     /// loop; only the span tree differs (one span instead of N).
@@ -161,12 +164,7 @@ pub trait Substrate {
         caller: DomainId,
         cap: &ChannelCap,
         payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        payloads
-            .iter()
-            .map(|data| self.invoke(caller, cap, data))
-            .collect()
-    }
+    ) -> Result<Vec<Vec<u8>>, SubstrateError>;
 
     /// The code identity of a domain.
     ///
@@ -252,12 +250,8 @@ pub trait Substrate {
     /// Advances the substrate's logical clock by `cycles` without
     /// dispatching anything — how the shard layer charges the
     /// cross-shard crossing cost on the *caller's* shard clock through
-    /// the object-safe interface. Backends built on the fabric engine
-    /// forward to their [`crate::fabric::BackendPolicy::advance_clock`];
-    /// the default is a no-op for substrates without a clock to charge.
-    fn charge_cycles(&mut self, cycles: u64) {
-        let _ = cycles;
-    }
+    /// the object-safe interface.
+    fn charge_cycles(&mut self, cycles: u64);
 
     /// Lists the live capabilities of `domain` (the L4-style cap-space
     /// enumeration components use to discover channels the composer
@@ -269,26 +263,20 @@ pub trait Substrate {
     fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError>;
 
     /// The backend's [`crate::fabric::Fabric`] — trace buffer and
-    /// [`crate::fabric::FabricStats`] counters — when the backend routes
-    /// through the fabric engine (all in-tree backends do). Experiments
-    /// read crossing counts and byte volumes through this without
-    /// giving up object safety.
-    fn fabric_ref(&self) -> Option<&crate::fabric::Fabric> {
-        None
-    }
+    /// [`crate::fabric::FabricStats`] counters. Experiments read
+    /// crossing counts and byte volumes through this without giving up
+    /// object safety. Every implementor returns `Some`.
+    fn fabric_ref(&self) -> Option<&crate::fabric::Fabric>;
 
     /// Mutable access to the backend's fabric — how supervisors and
     /// fault-injection harnesses install a [`crate::fault::FaultPlan`]
     /// through the object-safe interface without knowing the concrete
-    /// backend type.
-    fn fabric_mut_ref(&mut self) -> Option<&mut crate::fabric::Fabric> {
-        None
-    }
+    /// backend type. Every implementor returns `Some`.
+    fn fabric_mut_ref(&mut self) -> Option<&mut crate::fabric::Fabric>;
 
     /// The backend's causal telemetry collector — spans for every
-    /// engine operation plus the unified metrics registry. Defaults to
-    /// delegating through [`Substrate::fabric_ref`], so fabric-routed
-    /// backends get it for free.
+    /// engine operation plus the unified metrics registry, reached
+    /// through [`Substrate::fabric_ref`].
     fn telemetry_ref(&self) -> Option<&lateral_telemetry::Telemetry> {
         self.fabric_ref().map(|f| f.telemetry())
     }
@@ -301,13 +289,11 @@ pub trait Substrate {
     }
 
     /// The backend's crossing-cost table as data (see
-    /// [`crate::fabric::CrossingCostModel`]) — what the placement
-    /// optimizer prices hypothetical placements against. `None` for
-    /// backends without an introspectable cost model; every in-tree
-    /// backend (and the sharded fabric) overrides this.
-    fn cost_model(&self) -> Option<crate::fabric::CrossingCostModel> {
-        None
-    }
+    /// [`crate::fabric::CrossingCostModel`]) — the table the engine
+    /// charges from, and what the placement optimizer prices
+    /// hypothetical placements against. Every implementor returns
+    /// `Some`.
+    fn cost_model(&self) -> Option<crate::fabric::CrossingCostModel>;
 
     /// The crossing profile folded from the backend's retained trace —
     /// per-edge cost histograms and byte totals (see
@@ -377,7 +363,7 @@ pub trait DomainContext {
 }
 
 /// The standard [`DomainContext`] implementation over any [`Substrate`].
-/// Backends construct one per dispatched call.
+/// The fabric engine constructs one per dispatched call.
 pub struct CallCtx<'a> {
     substrate: &'a mut dyn Substrate,
     domain: DomainId,
@@ -431,12 +417,15 @@ impl DomainContext for CallCtx<'_> {
     }
 }
 
-/// Per-domain bookkeeping every backend needs.
+/// Per-domain bookkeeping the fabric engine keeps for every backend.
 pub struct DomainRecord {
     /// The spec the domain was created from.
     pub spec: DomainSpec,
     /// Cached measurement of `spec.image`.
     pub measurement: Digest,
+    /// Where the domain was placed — what the engine classifies its
+    /// crossings by.
+    pub kind: DomainKind,
     /// The domain's capability table.
     pub caps: CapTable,
     /// The hosted component; `None` while it is executing (take-out /
@@ -445,7 +434,7 @@ pub struct DomainRecord {
     pub component: Option<Box<dyn Component>>,
 }
 
-/// Domain table shared by all backends.
+/// The fabric engine's domain table.
 #[derive(Default)]
 pub struct DomainTable {
     domains: Vec<Option<DomainRecord>>,
@@ -468,6 +457,7 @@ impl DomainTable {
     /// # Errors
     ///
     /// [`SubstrateError::NoSuchDomain`].
+    #[inline]
     pub fn get(&self, id: DomainId) -> Result<&DomainRecord, SubstrateError> {
         self.domains
             .get(id.0 as usize)
@@ -480,6 +470,7 @@ impl DomainTable {
     /// # Errors
     ///
     /// [`SubstrateError::NoSuchDomain`].
+    #[inline]
     pub fn get_mut(&mut self, id: DomainId) -> Result<&mut DomainRecord, SubstrateError> {
         self.domains
             .get_mut(id.0 as usize)
@@ -510,12 +501,14 @@ impl DomainTable {
     /// # Errors
     ///
     /// [`SubstrateError::Reentrancy`] when the component is already out.
+    #[inline]
     pub fn take_component(&mut self, id: DomainId) -> Result<Box<dyn Component>, SubstrateError> {
         let rec = self.get_mut(id)?;
         rec.component.take().ok_or(SubstrateError::Reentrancy(id))
     }
 
     /// Puts a component back after dispatch.
+    #[inline]
     pub fn put_component(&mut self, id: DomainId, component: Box<dyn Component>) {
         if let Ok(rec) = self.get_mut(id) {
             rec.component = Some(component);
@@ -541,55 +534,10 @@ impl DomainTable {
     }
 }
 
-/// Shared dispatch logic used by backend `invoke` implementations:
-/// validates the capability, takes the target component out, runs
-/// `on_call` with a [`CallCtx`], and puts the component back.
-///
-/// The backend passes `substrate` as `self` and a closure-free pre-split
-/// of its state is avoided by making this a method-style free function.
-///
-/// # Errors
-///
-/// All the invocation errors documented on [`Substrate::invoke`].
-pub fn dispatch_call<S, FTab>(
-    substrate: &mut S,
-    table: FTab,
-    caller: DomainId,
-    cap: &ChannelCap,
-    data: &[u8],
-) -> Result<Vec<u8>, SubstrateError>
-where
-    S: Substrate,
-    FTab: Fn(&mut S) -> &mut DomainTable,
-{
-    let entry = {
-        let tab = table(substrate);
-        let caller_rec = tab.get(caller)?;
-        caller_rec.caps.lookup(caller, cap)?
-    };
-    let target = entry.target;
-    let (mut component, measurement) = {
-        let tab = table(substrate);
-        let m = tab.get(target)?.measurement;
-        (tab.take_component(target)?, m)
-    };
-    let result = {
-        let mut ctx = CallCtx::new(substrate as &mut dyn Substrate, target, measurement);
-        component.on_call(
-            &mut ctx,
-            Invocation {
-                badge: entry.badge,
-                data,
-            },
-        )
-    };
-    table(substrate).put_component(target, component);
-    result.map_err(|ComponentError(msg)| SubstrateError::ComponentFailure(msg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::{ComponentError, Invocation};
 
     #[test]
     fn spec_measurement_depends_only_on_image() {
@@ -608,6 +556,7 @@ mod tests {
         let id = t.insert(DomainRecord {
             spec,
             measurement: m,
+            kind: DomainKind::Trusted,
             caps: CapTable::new(),
             component: None,
         });
@@ -624,6 +573,7 @@ mod tests {
         let mk = |name: &str| DomainRecord {
             spec: DomainSpec::named(name),
             measurement: DomainSpec::named(name).measurement(),
+            kind: DomainKind::Trusted,
             caps: CapTable::new(),
             component: None,
         };
@@ -653,6 +603,7 @@ mod tests {
         let id = t.insert(DomainRecord {
             spec: DomainSpec::named("n"),
             measurement: Digest::ZERO,
+            kind: DomainKind::Trusted,
             caps: CapTable::new(),
             component: Some(Box::new(Noop)),
         });

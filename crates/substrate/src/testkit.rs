@@ -801,64 +801,6 @@ pub mod parity {
         sub.destroy(gated).unwrap();
     }
 
-    /// The introspectable cost model is not a second implementation that
-    /// can drift: for every invocation the engine actually recorded, the
-    /// backend's [`crate::fabric::CrossingCostModel`] must reprice the
-    /// observed crossing to exactly the cycles charged, and its
-    /// invoke-kind rule must predict the crossing the engine chose for a
-    /// trusted-to-trusted call — the contract the placement optimizer's
-    /// scoring rests on.
-    pub fn assert_cost_model_prices_observed_crossings(sub: &mut dyn Substrate) {
-        use crate::fabric::{DomainKind, TraceOutcome};
-        let name = sub.profile().name.clone();
-        let model = sub
-            .cost_model()
-            .unwrap_or_else(|| panic!("[{name}] backend must expose its cost model"));
-        assert_eq!(
-            model.backend(),
-            name,
-            "[{name}] the model names the backend it describes"
-        );
-        let svc = sub
-            .spawn(DomainSpec::named("parity-priced-svc"), Box::new(Echo))
-            .unwrap();
-        let client = sub
-            .spawn(DomainSpec::named("parity-priced-client"), Box::new(Echo))
-            .unwrap();
-        let cap = sub.grant_channel(client, svc, Badge(7)).unwrap();
-        // Payload sizes straddling the per-byte divisors (8, 32, 64) so a
-        // wrong numerator or denominator cannot price every case right.
-        for len in [0usize, 1, 7, 8, 63, 64, 65, 512, 4096] {
-            let payload = vec![0xA5u8; len];
-            assert_eq!(sub.invoke(client, &cap, &payload).unwrap(), payload);
-        }
-        let fabric = sub
-            .fabric_ref()
-            .unwrap_or_else(|| panic!("[{name}] backend must expose its fabric"));
-        let mut checked = 0usize;
-        for ev in fabric.trace().filter(|ev| ev.outcome == TraceOutcome::Ok) {
-            assert_eq!(
-                model.price(ev.crossing, ev.bytes),
-                ev.cost,
-                "[{name}] model must reprice {} bytes over {} to the charged cycles",
-                ev.bytes,
-                ev.crossing,
-            );
-            assert_eq!(
-                model.invoke_kind(DomainKind::Trusted, DomainKind::Trusted),
-                ev.crossing,
-                "[{name}] invoke-kind rule must predict the engine's crossing"
-            );
-            checked += 1;
-        }
-        assert!(
-            checked >= 9,
-            "[{name}] the retained trace must cover the priced invocations"
-        );
-        sub.destroy(client).unwrap();
-        sub.destroy(svc).unwrap();
-    }
-
     /// Live migration parity: a component with sealed state moves from
     /// `source` to `target` through the seal-escrow cycle — unseal while
     /// live, destroy, respawn from the same image on the target,

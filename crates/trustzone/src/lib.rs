@@ -21,6 +21,11 @@
 //! * **No memory encryption**: a physical bus probe reads secure-world
 //!   DRAM in plaintext — the decisive difference from SGX/SEP in the E9
 //!   attack matrix.
+//!
+//! The crate is a [`BackendPolicy`] and nothing else. A domain's world is
+//! its recorded [`DomainKind`], and the fabric engine charges the SMC
+//! pair or the secure-world IPC from the `SameSideElse` rule of the cost
+//! model TrustZone hands its fabric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,34 +36,28 @@ use lateral_crypto::aead::Aead;
 use lateral_crypto::rng::Drbg;
 use lateral_crypto::sign::{SigningKey, VerifyingKey};
 use lateral_crypto::Digest;
-use lateral_hw::bus::AccessKind;
 use lateral_hw::fuse::FuseAccess;
 use lateral_hw::machine::Machine;
 use lateral_hw::mem::{Frame, FrameOwner};
-use lateral_hw::mmu::{AddressSpace, Rights};
-use lateral_hw::{Initiator, VirtAddr, World, PAGE_SIZE};
+use lateral_hw::mmu::DomainMemory;
+use lateral_hw::{Initiator, World};
 use lateral_substrate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use lateral_substrate::attest::AttestationEvidence;
-use lateral_substrate::cap::{Badge, ChannelCap};
 use lateral_substrate::component::Component;
-use lateral_substrate::fabric::{self, BackendPolicy, CrossingKind, DomainKind, Fabric};
-use lateral_substrate::substrate::{DomainSpec, Substrate};
+use lateral_substrate::fabric::{
+    self, BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric, InvokeKindRule,
+};
+use lateral_substrate::substrate::DomainSpec;
 use lateral_substrate::{DomainId, SubstrateError};
 
 /// Name of the fused per-device key (smart-meter example, §III-C).
 pub const DEVICE_KEY_FUSE: &str = "tz-device-key";
 
-struct TzDomain {
-    aspace: AddressSpace,
-    frames: Vec<Frame>,
-    world: World,
-}
-
 /// The TrustZone substrate: secure-world OS + secure monitor.
 pub struct TrustZone {
     machine: Machine,
     fabric: Fabric,
-    kstate: BTreeMap<DomainId, TzDomain>,
+    mems: BTreeMap<DomainId, DomainMemory>,
     normal_domain: Option<DomainId>,
     attest_key: SigningKey,
     seal_root: [u8; 32],
@@ -101,10 +100,28 @@ impl TrustZone {
         let attest_key =
             SigningKey::from_seed(&[b"tz-attest".as_slice(), device_key.as_slice()].concat());
         let seal_root = lateral_crypto::hmac::hkdf(b"lateral.trustzone.sealroot", &device_key, b"");
+        // Same world → IPC through the secure-world OS; crossing the NS
+        // boundary → an SMC pair.
+        let c = &machine.costs;
+        let mut cost_model = CrossingCostModel::uniform(
+            c.ipc_round_trip,
+            c.copy_per_byte_num,
+            c.copy_per_byte_den,
+            InvokeKindRule::SameSideElse {
+                same: CrossingKind::Ipc,
+                cross: CrossingKind::WorldSwitch,
+            },
+        );
+        cost_model.set(
+            CrossingKind::WorldSwitch,
+            2 * c.smc,
+            c.copy_per_byte_num,
+            c.copy_per_byte_den,
+        );
         TrustZone {
             machine,
-            fabric: Fabric::new(),
-            kstate: BTreeMap::new(),
+            fabric: Fabric::new(cost_model),
+            mems: BTreeMap::new(),
             normal_domain: None,
             attest_key,
             seal_root,
@@ -185,7 +202,10 @@ impl TrustZone {
     ///
     /// [`SubstrateError::NoSuchDomain`].
     pub fn world_of(&self, domain: DomainId) -> Result<World, SubstrateError> {
-        Ok(self.kdomain(domain)?.world)
+        Ok(match self.fabric.table().get(domain)?.kind {
+            DomainKind::Trusted => World::Secure,
+            DomainKind::Untrusted => World::Normal,
+        })
     }
 
     /// Physical frames backing a domain — used by the attack experiments
@@ -195,13 +215,11 @@ impl TrustZone {
     ///
     /// [`SubstrateError::NoSuchDomain`].
     pub fn domain_frames(&self, domain: DomainId) -> Result<Vec<Frame>, SubstrateError> {
-        Ok(self.kdomain(domain)?.frames.clone())
-    }
-
-    const MEM_BASE: u64 = 0x10_0000;
-
-    fn kdomain(&self, id: DomainId) -> Result<&TzDomain, SubstrateError> {
-        self.kstate.get(&id).ok_or(SubstrateError::NoSuchDomain(id))
+        let mem = self
+            .mems
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        Ok(mem.frames().to_vec())
     }
 
     fn seal_key(&self, measurement: &Digest) -> [u8; 32] {
@@ -214,6 +232,10 @@ impl TrustZone {
 }
 
 impl BackendPolicy for TrustZone {
+    fn backend_profile(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -223,94 +245,66 @@ impl BackendPolicy for TrustZone {
     }
 
     fn place(&mut self, id: DomainId, kind: DomainKind) -> Result<(), SubstrateError> {
-        let world = match kind {
-            DomainKind::Trusted => World::Secure,
-            DomainKind::Untrusted => World::Normal,
+        let owner = match kind {
+            DomainKind::Trusted => FrameOwner::Secure,
+            DomainKind::Untrusted => FrameOwner::Normal,
         };
-        let owner = match world {
-            World::Secure => FrameOwner::Secure,
-            World::Normal => FrameOwner::Normal,
-        };
-        let pages = self.fabric.table().get(id)?.spec.mem_pages.max(1);
-        let frames = self
-            .machine
-            .mem
-            .alloc_n(owner, pages)
+        let pages = self.fabric.table().get(id)?.spec.mem_pages;
+        let mem = DomainMemory::alloc(&mut self.machine.mem, owner, pages)
             .map_err(|e| SubstrateError::OutOfResources(e.to_string()))?;
-        let mut aspace = AddressSpace::new();
-        for (i, frame) in frames.iter().enumerate() {
-            aspace.map(
-                VirtAddr(Self::MEM_BASE + (i * PAGE_SIZE) as u64),
-                *frame,
-                Rights::RW,
-            );
-        }
-        self.kstate.insert(
-            id,
-            TzDomain {
-                aspace,
-                frames,
-                world,
-            },
-        );
+        self.mems.insert(id, mem);
         Ok(())
     }
 
     fn unplace(&mut self, id: DomainId) {
-        if let Some(k) = self.kstate.remove(&id) {
-            for frame in k.frames {
-                self.machine.mem.free(frame);
-            }
+        if let Some(mem) = self.mems.remove(&id) {
+            mem.free(&mut self.machine.mem);
         }
         if self.normal_domain == Some(id) {
             self.normal_domain = None;
         }
     }
 
-    fn crossing(&self, caller: DomainId, target: DomainId) -> Result<CrossingKind, SubstrateError> {
-        // World crossings go through the secure monitor (SMC), costing a
-        // full world switch each way; secure-internal calls are normal
-        // IPC under the secure-world OS.
-        if self.kdomain(caller)?.world == self.kdomain(target)?.world {
-            Ok(CrossingKind::Ipc)
-        } else {
-            Ok(CrossingKind::WorldSwitch)
-        }
-    }
-
-    fn crossing_cost(&self, kind: CrossingKind, bytes: usize) -> u64 {
-        let base = match kind {
-            CrossingKind::WorldSwitch => 2 * self.machine.costs.smc,
-            _ => self.machine.costs.ipc_round_trip,
-        };
-        base + self.machine.costs.copy_cost(bytes)
-    }
-
-    fn cost_model(&self) -> fabric::CrossingCostModel {
-        // Same world → IPC through the secure-world OS; crossing the
-        // NS boundary → an SMC pair.
-        let c = &self.machine.costs;
-        let mut m = fabric::CrossingCostModel::uniform(
-            &self.profile.name,
-            c.ipc_round_trip,
-            c.copy_per_byte_num,
-            c.copy_per_byte_den,
-            fabric::InvokeKindRule::SameSideElse {
-                same: CrossingKind::Ipc,
-                cross: CrossingKind::WorldSwitch,
-            },
-        );
-        m.set(
-            CrossingKind::WorldSwitch,
-            2 * c.smc,
-            c.copy_per_byte_num,
-            c.copy_per_byte_den,
-        );
-        m
+    fn clock(&self) -> u64 {
+        self.machine.clock.now()
     }
 
     fn advance_clock(&mut self, cycles: u64) {
         self.machine.clock.advance(cycles);
+    }
+
+    fn read_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, SubstrateError> {
+        let cpu = Initiator::cpu(self.world_of(domain)?);
+        let mem = self
+            .mems
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        mem.read(&mut self.machine, cpu, offset, len)
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
+    }
+
+    fn write_mem(
+        &mut self,
+        domain: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError> {
+        let cpu = Initiator::cpu(self.world_of(domain)?);
+        let mem = self
+            .mems
+            .get(&domain)
+            .ok_or(SubstrateError::NoSuchDomain(domain))?;
+        mem.write(&mut self.machine, cpu, offset, data)
+            .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
+    }
+
+    fn domain_rng(&mut self, domain: DomainId) -> u64 {
+        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(
@@ -346,7 +340,7 @@ impl BackendPolicy for TrustZone {
     ) -> Result<AttestationEvidence, SubstrateError> {
         // Only secure-world components can be attested: the attestation
         // component has no basis for statements about normal-world state.
-        if self.kdomain(domain)?.world != World::Secure {
+        if self.world_of(domain)? != World::Secure {
             return Err(SubstrateError::Unsupported(
                 "TrustZone attests secure-world components only".into(),
             ));
@@ -359,170 +353,9 @@ impl BackendPolicy for TrustZone {
             report_data,
         ))
     }
-}
 
-impl Substrate for TrustZone {
-    fn profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
-    /// Spawns a *trusted component into the secure world*. Use
-    /// [`TrustZone::spawn_normal`] for the legacy codebase.
-    fn spawn(
-        &mut self,
-        spec: DomainSpec,
-        component: Box<dyn Component>,
-    ) -> Result<DomainId, SubstrateError> {
-        fabric::spawn(self, spec, component, DomainKind::Trusted)
-    }
-
-    fn destroy(&mut self, domain: DomainId) -> Result<(), SubstrateError> {
-        fabric::destroy(self, domain)
-    }
-
-    fn grant_channel(
-        &mut self,
-        from: DomainId,
-        to: DomainId,
-        badge: Badge,
-    ) -> Result<ChannelCap, SubstrateError> {
-        fabric::grant_channel(self, from, to, badge)
-    }
-
-    fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
-        fabric::revoke_channel(self, cap)
-    }
-
-    fn invoke(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        data: &[u8],
-    ) -> Result<Vec<u8>, SubstrateError> {
-        fabric::invoke(self, caller, cap, data)
-    }
-
-    fn invoke_batch(
-        &mut self,
-        caller: DomainId,
-        cap: &ChannelCap,
-        payloads: &[&[u8]],
-    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
-        fabric::invoke_batch(self, caller, cap, payloads)
-    }
-
-    fn measurement(&self, domain: DomainId) -> Result<Digest, SubstrateError> {
-        fabric::measurement(self, domain)
-    }
-
-    fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
-        fabric::domain_name(self, domain)
-    }
-
-    fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::seal(self, domain, data)
-    }
-
-    fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
-        fabric::unseal(self, domain, sealed)
-    }
-
-    fn attest(
-        &mut self,
-        domain: DomainId,
-        report_data: &[u8],
-    ) -> Result<AttestationEvidence, SubstrateError> {
-        fabric::attest(self, domain, report_data)
-    }
-
-    fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
+    fn verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
         Ok(self.attest_key.verifying_key())
-    }
-
-    fn mem_read(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, SubstrateError> {
-        let (spans, world) = {
-            let k = self.kdomain(domain)?;
-            let spans = k
-                .aspace
-                .translate_range(
-                    VirtAddr(Self::MEM_BASE.saturating_add(offset as u64)),
-                    len,
-                    AccessKind::Read,
-                )
-                .map_err(|e| SubstrateError::AccessDenied(format!("MMU: {e}")))?;
-            (spans, k.world)
-        };
-        let mut out = Vec::with_capacity(len);
-        for (pa, span_len) in spans {
-            let bytes = self
-                .machine
-                .bus_read(Initiator::cpu(world), pa, span_len)
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            out.extend_from_slice(&bytes);
-        }
-        Ok(out)
-    }
-
-    fn mem_write(
-        &mut self,
-        domain: DomainId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), SubstrateError> {
-        let (spans, world) = {
-            let k = self.kdomain(domain)?;
-            let spans = k
-                .aspace
-                .translate_range(
-                    VirtAddr(Self::MEM_BASE.saturating_add(offset as u64)),
-                    data.len(),
-                    AccessKind::Write,
-                )
-                .map_err(|e| SubstrateError::AccessDenied(format!("MMU: {e}")))?;
-            (spans, k.world)
-        };
-        let mut cursor = 0usize;
-        for (pa, span_len) in spans {
-            self.machine
-                .bus_write(Initiator::cpu(world), pa, &data[cursor..cursor + span_len])
-                .map_err(|e| SubstrateError::AccessDenied(e.to_string()))?;
-            cursor += span_len;
-        }
-        Ok(())
-    }
-
-    fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        let mut child = self.rng.fork(&format!("domain-{}", domain.0));
-        child.next_u64()
-    }
-
-    fn now(&self) -> u64 {
-        self.machine.clock.now()
-    }
-
-    fn charge_cycles(&mut self, cycles: u64) {
-        BackendPolicy::advance_clock(self, cycles);
-    }
-
-    fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError> {
-        fabric::list_caps(self, domain)
-    }
-
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(&self.fabric)
-    }
-
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(&mut self.fabric)
-    }
-
-    fn cost_model(&self) -> Option<fabric::CrossingCostModel> {
-        Some(BackendPolicy::cost_model(self))
     }
 }
 
@@ -531,7 +364,9 @@ mod tests {
     use super::*;
     use lateral_hw::machine::MachineBuilder;
     use lateral_substrate::attest::TrustPolicy;
+    use lateral_substrate::cap::Badge;
     use lateral_substrate::conformance;
+    use lateral_substrate::substrate::Substrate;
     use lateral_substrate::testkit::Echo;
 
     fn tz() -> TrustZone {

@@ -20,7 +20,7 @@ use lateral::substrate::cap::{Badge, ChannelCap};
 use lateral::substrate::software::SoftwareSubstrate;
 use lateral::substrate::substrate::{DomainSpec, Substrate};
 use lateral::substrate::testkit::{parity, Echo};
-use lateral::substrate::DomainId;
+use lateral::substrate::{DomainId, SubstrateError};
 use lateral_bench::e2_conformance::all_substrates;
 
 #[derive(Clone, Debug)]
@@ -217,12 +217,59 @@ fn crash_respawn_under_supervision_on_all_six() {
 }
 
 #[test]
-fn cost_model_reprices_the_observed_trace_on_all_six() {
-    // The placement optimizer scores candidates with the introspectable
-    // cost model; this pins the contract that the model never drifts
-    // from what the engine actually charges.
+fn memory_bounds_agree_on_all_six() {
+    // Two backends keep domain memory on the heap and four walk the MMU
+    // and the bus; all six must draw the same line at the end of a
+    // domain's pages, and refuse arithmetic that wraps.
     for mut sub in all_substrates() {
-        parity::assert_cost_model_prices_observed_crossings(sub.as_mut());
+        let name = sub.profile().name.clone();
+        let d = sub
+            .spawn(
+                DomainSpec::named("bounds").with_mem_pages(2),
+                Box::new(Echo),
+            )
+            .unwrap();
+        let end = 2 * 4096;
+        sub.mem_write(d, 4092, b"straddle").unwrap();
+        assert_eq!(sub.mem_read(d, 4092, 8).unwrap(), b"straddle", "[{name}]");
+        assert_eq!(sub.mem_read(d, end - 1, 1).unwrap().len(), 1, "[{name}]");
+        for (offset, len) in [(end, 1), (end - 1, 2), (usize::MAX, 1), (usize::MAX - 3, 8)] {
+            assert!(
+                matches!(
+                    sub.mem_read(d, offset, len),
+                    Err(SubstrateError::AccessDenied(_))
+                ),
+                "[{name}] read ({offset}, {len}) must be denied"
+            );
+            assert!(
+                matches!(
+                    sub.mem_write(d, offset, &vec![0xEE; len]),
+                    Err(SubstrateError::AccessDenied(_))
+                ),
+                "[{name}] write ({offset}, {len}) must be denied"
+            );
+        }
+        // A length no domain could hold is refused before anything is
+        // sized from it.
+        for len in [usize::MAX, 1 << 40] {
+            assert!(
+                matches!(
+                    sub.mem_read(d, 0, len),
+                    Err(SubstrateError::AccessDenied(_))
+                ),
+                "[{name}] read (0, {len}) must be denied"
+            );
+        }
+        assert_eq!(
+            sub.mem_read(d, end, 0).unwrap(),
+            Vec::<u8>::new(),
+            "[{name}]"
+        );
+        sub.destroy(d).unwrap();
+        assert!(
+            matches!(sub.mem_read(d, 0, 1), Err(SubstrateError::NoSuchDomain(_))),
+            "[{name}] a destroyed domain has no memory"
+        );
     }
 }
 
