@@ -306,9 +306,9 @@ struct Pending {
 }
 
 /// A sealed batch whose WAN schedule exhausted. Retransmissions must be
-/// **byte-identical** — `open_numbered` treats a fresh (higher) sequence
-/// as a record-loss signal, so a deferred batch keeps its sealed bytes
-/// and goes out again verbatim.
+/// **byte-identical** — `SecureChannel::open` treats a fresh (higher)
+/// sequence as a record-loss signal, so a deferred batch keeps its
+/// sealed bytes and goes out again verbatim.
 #[derive(Debug)]
 struct WanBatch {
     record: Vec<u8>,
@@ -904,7 +904,7 @@ impl FleetWorld {
         for p in &due {
             p.reading.encode_into(&mut batch);
         }
-        let record = lane.up.seal_numbered(&batch);
+        let record = lane.up.seal(&batch);
         self.stats.wan_batches += 1;
         match self.transmit(s, &record) {
             Some(plain) => self.accept_batch(s, &plain, t),
@@ -940,9 +940,9 @@ impl FleetWorld {
                 self.stats.wan_retransmissions += u64::from(attempts.saturating_sub(1));
                 // Drain EVERY delivered copy: a duplicating adversary
                 // (or a retransmission race) can land the same record
-                // several times in one round. The numbered window opens
-                // the fresh copy once and absorbs each replay as
-                // `Ok(None)`; treating a leftover duplicate as a fresh
+                // several times in one round. The channel opens the
+                // fresh copy once and reports each replay as a typed
+                // `Duplicate`; treating a leftover duplicate as a fresh
                 // ack — or leaving it to poison the next round's inbox —
                 // was the bug this loop fixes. A copy that fails to
                 // authenticate was corrupted in flight: it is skipped as
@@ -954,12 +954,12 @@ impl FleetWorld {
                     .recv(&lane.util_addr)
                     .expect("utility endpoint is registered")
                 {
-                    match lane.down.open_numbered(&p.payload) {
-                        Ok(Some(fresh)) => {
+                    match lane.down.open(&p.payload) {
+                        Ok(fresh) => {
                             debug_assert!(plain.is_none(), "one record per transmit");
                             plain = Some(fresh);
                         }
-                        Ok(None) => self.stats.wan_duplicates += 1,
+                        Err(NetError::Duplicate(_)) => self.stats.wan_duplicates += 1,
                         Err(_) => {}
                     }
                 }

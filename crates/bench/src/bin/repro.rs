@@ -28,7 +28,7 @@ fn main() -> ExitCode {
         let mut handles = Vec::new();
         for id in &ids {
             handles.push(scope.spawn(move || {
-                // E14 through E18 also emit machine-readable
+                // E14 through E17 also emit machine-readable
                 // benchmark records; share one measurement run with
                 // the report.
                 if *id == "e14" {
@@ -57,13 +57,6 @@ fn main() -> ExitCode {
                     match std::fs::write("BENCH_E17.json", &json) {
                         Ok(()) => eprintln!("note: wrote BENCH_E17.json"),
                         Err(e) => eprintln!("note: could not write BENCH_E17.json: {e}"),
-                    }
-                    Ok(report)
-                } else if *id == "e18" {
-                    let (report, json) = lateral_bench::e18_session::report_and_json();
-                    match std::fs::write("BENCH_E18.json", &json) {
-                        Ok(()) => eprintln!("note: wrote BENCH_E18.json"),
-                        Err(e) => eprintln!("note: could not write BENCH_E18.json: {e}"),
                     }
                     Ok(report)
                 } else {

@@ -54,7 +54,7 @@ const ROUNDS: usize = 40;
 pub struct BackendAdmission {
     /// Backend name (substrate profile).
     pub backend: String,
-    /// Certified app: all [`COMPOSE_REPEATS`] compositions admitted.
+    /// Certified app: all `COMPOSE_REPEATS` compositions admitted.
     pub certified_admitted: bool,
     /// Uncertified (untrusted publisher) image refused at composition.
     pub uncertified_refused: bool,
@@ -70,7 +70,7 @@ pub struct BackendAdmission {
     /// Verdict-cache misses across the composition phase.
     pub cache_misses: u64,
     /// Supervision ticks from revocation to quarantine of the running
-    /// instance; `None` if it never quarantined within [`TICK_BOUND`].
+    /// instance; `None` if it never quarantined within `TICK_BOUND`.
     pub revoke_to_quarantine_ticks: Option<u64>,
     /// Digest over every registry trace byte-stream this backend's
     /// sweep produced — the determinism witness.

@@ -308,7 +308,8 @@ pub fn run_wall_clock() -> Vec<ScalePoint> {
 }
 
 /// Measures the bounded-inbox cross-shard round-trip rate: a client
-/// thread posting into a server shard thread's [`ShardInbox`], one
+/// thread posting into a server shard thread's
+/// [`ShardInbox`](lateral_substrate::shard::ShardInbox), one
 /// blocking reply per call.
 #[must_use]
 pub fn run_wall_clock_cross() -> u64 {

@@ -22,14 +22,11 @@
 //!   and never an accepted forgery; every fetch is either served
 //!   verified or fails typed — zero lost.
 //!
-//! The throughput leg is the wall-clock payoff: one sealed record group
-//! carries a whole window of requests, so the multiplexed path puts
-//! ~window× fewer records on the wire than lock-step request/reply and
-//! correspondingly more requests through per second. Wall-clock lines
-//! are tagged `wall-clock` (stripped by the `scripts/check.sh`
-//! run-twice gate); the record counts are deterministic and gated.
-
-use std::time::Instant;
+//! The throughput leg counts records: one sealed record group carries a
+//! whole window of requests, so the multiplexed path puts ~window×
+//! fewer records on the wire than lock-step request/reply (the same
+//! path at window 1). The counts are deterministic; perfbench's
+//! `session` workload measures both paths' rates.
 
 use lateral_core::composer::{compose, Assembly};
 use lateral_core::manifest::{AppManifest, ComponentManifest};
@@ -398,8 +395,7 @@ pub fn run_failover() -> Vec<FailoverScenario> {
     out
 }
 
-/// The throughput leg's measurements. Record counts are deterministic;
-/// the per-second rates are wall-clock.
+/// The throughput leg's wire-record counts.
 #[derive(Clone, Debug)]
 pub struct Throughput {
     /// Requests issued on each path.
@@ -408,30 +404,21 @@ pub struct Throughput {
     pub lockstep_records: usize,
     /// Wire records for the multiplexed path, handshake included.
     pub mux_records: usize,
-    /// Lock-step requests/second (wall-clock).
-    pub lockstep_per_sec: u64,
-    /// Multiplexed requests/second (wall-clock).
-    pub mux_per_sec: u64,
-}
-
-fn per_sec(n: usize, elapsed_micros: u128) -> u64 {
-    ((n as u128).saturating_mul(1_000_000) / elapsed_micros.max(1)) as u64
 }
 
 /// Runs lock-step and multiplexed request streams over identical
-/// software-backend pairs and compares wire records and wall-clock.
+/// software-backend pairs and counts their wire records.
 #[must_use]
 pub fn run_throughput() -> Throughput {
-    // Lock-step: one request, one reply, one seal each way, per call.
+    // Lock-step: window 1, one request group and one reply group per
+    // call.
     let mut asm = counter_assembly(vec![Box::new(SoftwareSubstrate::new("e18-lockstep"))]);
     let mut net = Network::new("e18-lockstep");
     let (mut server, mut client) = bind_pair(&mut net, plain_export(), ChannelPolicy::open());
     establish(&mut net, &mut client, None, &mut server, &mut asm).expect("establish");
-    let start = Instant::now();
     for _ in 0..THROUGHPUT_REQUESTS {
         call(&mut net, &mut client, &mut server, &mut asm, b"r").expect("lock-step call");
     }
-    let lockstep_per_sec = per_sec(THROUGHPUT_REQUESTS, start.elapsed().as_micros());
     let lockstep_records = net.recorded().len();
 
     // Multiplexed: a full window per sealed record group.
@@ -441,7 +428,6 @@ pub fn run_throughput() -> Throughput {
     server.set_window(THROUGHPUT_WINDOW);
     client.set_window(THROUGHPUT_WINDOW);
     establish(&mut net, &mut client, None, &mut server, &mut asm).expect("establish");
-    let start = Instant::now();
     let mut served = 0usize;
     while served < THROUGHPUT_REQUESTS {
         let batch = THROUGHPUT_WINDOW.min(THROUGHPUT_REQUESTS - served);
@@ -461,77 +447,18 @@ pub fn run_throughput() -> Throughput {
             }
         }
     }
-    let mux_per_sec = per_sec(THROUGHPUT_REQUESTS, start.elapsed().as_micros());
     let mux_records = net.recorded().len();
 
     Throughput {
         requests: THROUGHPUT_REQUESTS,
         lockstep_records,
         mux_records,
-        lockstep_per_sec,
-        mux_per_sec,
     }
-}
-
-/// The machine-readable record `repro` writes to `BENCH_E18.json`.
-#[must_use]
-pub fn bench_json(
-    mux: &[BackendMux],
-    resumption: &ResumptionOutcome,
-    failover: &[FailoverScenario],
-    throughput: &Throughput,
-) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e18\",\n  \"backends\": [\n");
-    for (i, b) in mux.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"backend\": \"{}\", \"served\": {}, \"refused\": {}, \
-             \"client_digest\": \"{}\", \"server_digest\": \"{}\" }}{}\n",
-            b.backend,
-            b.served,
-            b.refused,
-            b.client_digest,
-            b.server_digest,
-            if i + 1 < mux.len() { "," } else { "" }
-        ));
-    }
-    let lost = failover.iter().filter(|s| !s.concluded).count();
-    out.push_str(&format!(
-        "  ],\n  \"resumption\": {{ \"attestations_after_connect\": {}, \"resumes\": {}, \
-         \"attestations_after_resumes\": {}, \"rejects\": {}, \
-         \"attestations_after_revocation\": {} }},\n",
-        resumption.attestations_after_connect,
-        resumption.resumes,
-        resumption.attestations_after_resumes,
-        resumption.rejects,
-        resumption.attestations_after_revocation,
-    ));
-    out.push_str(&format!(
-        "  \"failover\": {{ \"scenarios\": {}, \"lost\": {lost} }},\n",
-        failover.len()
-    ));
-    out.push_str(&format!(
-        "  \"throughput\": {{ \"requests\": {}, \"lockstep_records\": {}, \
-         \"multiplexed_records\": {}, \"wall_clock_lockstep_per_sec\": {}, \
-         \"wall_clock_multiplexed_per_sec\": {} }}\n}}\n",
-        throughput.requests,
-        throughput.lockstep_records,
-        throughput.mux_records,
-        throughput.lockstep_per_sec,
-        throughput.mux_per_sec,
-    ));
-    out
 }
 
 /// Renders the session report.
 #[must_use]
 pub fn report() -> String {
-    report_and_json().0
-}
-
-/// Renders the session report together with the machine-readable
-/// `BENCH_E18.json` payload, sharing one measurement run.
-#[must_use]
-pub fn report_and_json() -> (String, String) {
     let mux = run_mux();
     let resumption = run_resumption();
     let failover = run_failover();
@@ -605,10 +532,8 @@ pub fn report_and_json() -> (String, String) {
     let lost = failover.iter().filter(|s| !s.concluded).count();
     let served_verified = failover.iter().filter(|s| s.winner != "-").count();
 
-    let json = bench_json(&mux, &resumption, &failover, &throughput);
     let fewer = throughput.lockstep_records as f64 / throughput.mux_records.max(1) as f64;
-    let speedup = throughput.mux_per_sec as f64 / throughput.lockstep_per_sec.max(1) as f64;
-    let report = format!(
+    format!(
         "E18 — multiplexed remote sessions: resumption, windows, mirror failover\n\n\
          {}\n\
          Two request groups in flight over one secure channel; each entry\n\
@@ -630,9 +555,7 @@ pub fn report_and_json() -> (String, String) {
          served verified bytes, the rest failed typed — {} lost\n\
          (conserved: {}).\n\n\
          Throughput, {} requests, window {}:\n\
-         records on the wire: lock-step {} vs multiplexed {} ({:.1}x fewer)\n\
-         wall-clock   lock-step: {} requests/sec\n\
-         wall-clock   multiplexed: {} requests/sec (speedup {:.1}x)\n",
+         records on the wire: lock-step {} vs multiplexed {} ({:.1}x fewer)\n",
         render(&rows),
         WINDOW,
         if invariant { "yes" } else { "NO" },
@@ -655,11 +578,7 @@ pub fn report_and_json() -> (String, String) {
         throughput.lockstep_records,
         throughput.mux_records,
         fewer,
-        throughput.lockstep_per_sec,
-        throughput.mux_per_sec,
-        speedup,
-    );
-    (report, json)
+    )
 }
 
 #[cfg(test)]

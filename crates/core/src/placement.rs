@@ -8,9 +8,8 @@
 //! *choice*, not an accident. This module closes the loop with
 //! observability:
 //!
-//! 1. the fabric's retained trace folds into a
-//!    [`CrossingProfile`](lateral_telemetry::profile::CrossingProfile)
-//!    — per-edge calls, bytes, and tick histograms;
+//! 1. the fabric's retained trace folds into a [`CrossingProfile`] —
+//!    per-edge calls, bytes, and tick histograms;
 //! 2. every backend's pricing is data — the
 //!    [`CrossingCostModel`](lateral_substrate::fabric::CrossingCostModel)
 //!    its fabric charges every crossing from;

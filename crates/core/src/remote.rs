@@ -19,6 +19,13 @@
 //!   [`Network`], so every man-in-the-middle, relay, and replay test of
 //!   `lateral-net` applies unchanged.
 //!
+//! Requests take one path. [`RemoteClient::submit`] queues a request
+//! with its id and the caller's trace context, [`RemoteClient::flush`]
+//! seals the queue as one request group, and
+//! [`RemoteClient::poll_group_replies`] opens the reply group. A
+//! lock-step call ([`call`]) is that path with one request in flight:
+//! window 1. A reply whose id is not in flight is refused.
+//!
 //! The driving style is explicitly two-sided — the caller pumps the
 //! server between client steps — so experiments can interpose the
 //! network adversary at any point.
@@ -48,7 +55,6 @@ use crate::CoreError;
 const MSG_HELLO: u8 = 0;
 const MSG_SERVER_HELLO: u8 = 1;
 const MSG_FINISH: u8 = 2;
-const MSG_REQUEST: u8 = 3;
 const MSG_REPLY: u8 = 4;
 const MSG_ERROR: u8 = 5;
 const MSG_REQ_GROUP: u8 = 6;
@@ -85,17 +91,6 @@ fn unframe(packet: &[u8]) -> Result<(u8, &[u8]), CoreError> {
         .split_first()
         .map(|(k, body)| (*k, body))
         .ok_or_else(|| CoreError::Substrate("empty packet".into()))
-}
-
-/// Splits an opened record body into its propagated [`TraceContext`]
-/// and payload, or `None` for a legacy untraced body. The context codec
-/// itself is strict; only the *absence* of the envelope is tolerated.
-fn split_traced(body: &[u8]) -> Option<(TraceContext, Vec<u8>)> {
-    let mut r = Reader::new(body);
-    let ctx = TraceContext::decode(r.field().ok()?).ok()?;
-    let payload = r.field().ok()?.to_vec();
-    r.finish().ok()?;
-    Some((ctx, payload))
 }
 
 /// What a server exports.
@@ -239,7 +234,7 @@ impl RemoteServer {
                 }
             };
             // Losing the reply is the adversary's prerogative.
-            let _ = net.send(&self.addr.clone(), &packet.from, &frame(kind, &body));
+            let _ = net.send(&self.addr, &packet.from, &frame(kind, &body));
         }
         Ok(handled)
     }
@@ -384,91 +379,14 @@ impl RemoteServer {
                     }
                 }
             }
-            MSG_REQUEST => {
-                let (component, badge) = (self.export.component.clone(), self.export.badge);
-                let session = self
-                    .sessions
-                    .get_mut(from)
-                    .ok_or_else(|| CoreError::Substrate("no session".into()))?;
-                let ServerSession::Established(channel, _) = session else {
-                    return Err(CoreError::Substrate("handshake incomplete".into()));
-                };
-                let body_plain = match channel.open(body) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        let at = self.telemetry.tick();
-                        self.telemetry
-                            .instant("channel.open", "channel", at, span_outcome::FAILED);
-                        return Err(CoreError::Substrate(format!("record: {e}")));
-                    }
-                };
-                // A traced record lands the serve span in the *caller's*
-                // trace; untraced (legacy) requests start a local one.
-                let (ctx, request) = match split_traced(&body_plain) {
-                    Some((ctx, payload)) => (Some(ctx), payload),
-                    None => (None, body_plain),
-                };
-                let at = self.telemetry.tick();
-                let serve = match ctx {
-                    Some(ctx) => self.telemetry.begin_span_in(
-                        ctx,
-                        &format!("serve {component}"),
-                        "remote",
-                        at,
-                    ),
-                    None => self
-                        .telemetry
-                        .begin_span(&format!("serve {component}"), "remote", at),
-                };
-                let at = self.telemetry.tick();
-                self.telemetry
-                    .instant("channel.open", "channel", at, span_outcome::OK);
-                let reply = match assembly.call_component_badged(&component, badge, &request) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let at = self.telemetry.tick();
-                        self.telemetry.end_span(serve, at, span_outcome::FAILED);
-                        self.telemetry
-                            .metrics_mut()
-                            .incr("remote.serve.failures", 1);
-                        return Err(e);
-                    }
-                };
-                let ServerSession::Established(channel, _) =
-                    self.sessions.get_mut(from).expect("session checked above")
-                else {
-                    unreachable!("session type checked above");
-                };
-                let record = match ctx {
-                    Some(ctx) => {
-                        // The reply continues the caller's trace, with
-                        // the serve span as its causal parent.
-                        let reply_ctx = TraceContext {
-                            trace_id: ctx.trace_id,
-                            parent: serve,
-                        };
-                        channel.seal_traced(reply_ctx, &reply)
-                    }
-                    None => channel.seal(&reply),
-                };
-                let at = self.telemetry.tick();
-                self.telemetry
-                    .instant("channel.seal", "channel", at, span_outcome::OK);
-                let at = self.telemetry.tick();
-                self.telemetry.end_span(serve, at, span_outcome::OK);
-                self.telemetry.metrics_mut().incr("remote.requests", 1);
-                Ok((MSG_REPLY, record))
-            }
             MSG_REQ_GROUP => {
-                let (component, badge) = (self.export.component.clone(), self.export.badge);
-                let window = self.window;
-                let session = self
-                    .sessions
-                    .get_mut(from)
-                    .ok_or_else(|| CoreError::Substrate("no session".into()))?;
-                let ServerSession::Established(channel, _) = session else {
-                    return Err(CoreError::Substrate("handshake incomplete".into()));
+                let channel = match self.sessions.get_mut(from) {
+                    Some(ServerSession::Established(channel, _)) => channel,
+                    Some(_) => return Err(CoreError::Substrate("handshake incomplete".into())),
+                    None => return Err(CoreError::Substrate("no session".into())),
                 };
+                let (component, badge, window) =
+                    (&self.export.component, self.export.badge, self.window);
                 let plain = channel
                     .open(body)
                     .map_err(|e| CoreError::Substrate(format!("record: {e}")))?;
@@ -499,7 +417,7 @@ impl RemoteServer {
                         "remote",
                         at,
                     );
-                    match assembly.call_component_badged(&component, badge, &entry.payload) {
+                    match assembly.call_component_badged(component, badge, &entry.payload) {
                         Ok(r) => {
                             let at = self.telemetry.tick();
                             self.telemetry.end_span(serve, at, span_outcome::OK);
@@ -526,13 +444,7 @@ impl RemoteServer {
                 self.telemetry
                     .metrics_mut()
                     .incr("remote.requests", entries.len() as u64);
-                let group = encode_reply_group(&replies);
-                let ServerSession::Established(channel, _) =
-                    self.sessions.get_mut(from).expect("session checked above")
-                else {
-                    unreachable!("session type checked above");
-                };
-                let record = channel.seal(&group);
+                let record = channel.seal(&encode_reply_group(&replies));
                 let at = self.telemetry.tick();
                 self.telemetry
                     .instant("channel.seal", "channel", at, span_outcome::OK);
@@ -573,11 +485,8 @@ pub struct RemoteClient {
     /// in-flight spans would nest under each other).
     root_trace: u64,
     connect_span: Option<SpanId>,
-    /// In-flight request (legacy lock-step path): its span and the
-    /// context it propagated.
-    request: Option<(SpanId, TraceContext)>,
-    /// Multiplexed in-flight requests by id: span + propagated context.
-    pending: std::collections::BTreeMap<u64, (SpanId, TraceContext)>,
+    /// In-flight requests by id: each one's `request` span.
+    pending: std::collections::BTreeMap<u64, SpanId>,
     /// Requests submitted but not yet flushed into a sealed group.
     outbox: Vec<RequestEntry>,
     next_req_id: u64,
@@ -628,7 +537,6 @@ impl RemoteClient {
             session_span,
             root_trace,
             connect_span: None,
-            request: None,
             pending: std::collections::BTreeMap::new(),
             outbox: Vec::new(),
             next_req_id: 1,
@@ -651,16 +559,17 @@ impl RemoteClient {
         self.window = window.max(1);
     }
 
-    /// Multiplexed requests currently awaiting replies (queued ones
-    /// included: `pending` spans submit → reply, and unflushed outbox
-    /// entries are already in it).
+    /// Requests currently awaiting replies (queued ones included:
+    /// `pending` spans submit → reply, and unflushed outbox entries are
+    /// already in it).
     pub fn in_flight(&self) -> usize {
         self.pending.len()
     }
 
     /// The client's telemetry: one session-root span with `connect`
-    /// (attestation verification attached) and `request`
-    /// (seal/open attached) child spans, plus remote-layer metrics.
+    /// (attestation verification attached) and one `request` child span
+    /// per request, `channel.seal`/`channel.open` instants for each
+    /// group record, plus remote-layer metrics.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -699,28 +608,34 @@ impl RemoteClient {
         }
     }
 
+    /// Ends the open connect span, if any, with `outcome`.
+    fn end_connect(&mut self, outcome: u8) {
+        if let Some(c) = self.connect_span.take() {
+            let at = self.telemetry.tick();
+            self.telemetry.end_span(c, at, outcome);
+        }
+    }
+
+    /// Sends one frame to the server.
+    fn send(&self, net: &mut Network, kind: u8, body: &[u8]) -> Result<(), CoreError> {
+        net.send(&self.addr, &self.server, &frame(kind, body))
+            .map(drop)
+            .map_err(|e| CoreError::Substrate(e.to_string()))
+    }
+
     /// Step 1: send the ClientHello.
     ///
     /// # Errors
     ///
     /// Network registration failures.
     pub fn start(&mut self, net: &mut Network) -> Result<(), CoreError> {
-        if let Some(old) = self.connect_span.take() {
-            // A previous connect attempt never completed.
-            let at = self.telemetry.tick();
-            self.telemetry.end_span(old, at, span_outcome::FAILED);
-        }
+        // A previous connect attempt never completed.
+        self.end_connect(span_outcome::FAILED);
         let at = self.telemetry.tick();
         self.connect_span = Some(self.telemetry.begin_span("connect", "remote", at));
         let (state, hello) = ClientHandshake::start(self.identity.clone(), &mut self.rng);
         self.state = ClientSession::HelloSent(state);
-        net.send(
-            &self.addr.clone(),
-            &self.server.clone(),
-            &frame(MSG_HELLO, &hello),
-        )
-        .map(|_| ())
-        .map_err(|e| CoreError::Substrate(e.to_string()))
+        self.send(net, MSG_HELLO, &hello)
     }
 
     /// Attempts to resume an earlier session with the held ticket,
@@ -738,22 +653,13 @@ impl RemoteClient {
             .ticket
             .take()
             .ok_or_else(|| CoreError::Substrate("no resumption ticket".into()))?;
-        if let Some(old) = self.connect_span.take() {
-            let at = self.telemetry.tick();
-            self.telemetry.end_span(old, at, span_outcome::FAILED);
-        }
+        self.end_connect(span_outcome::FAILED);
         let at = self.telemetry.tick();
         self.connect_span = Some(self.telemetry.begin_span("connect.resume", "remote", at));
         let hello = ResumeHello::new(&ticket, &mut self.rng);
         let encoded = hello.encode();
         self.state = ClientSession::ResumeSent(Box::new(ticket), hello);
-        net.send(
-            &self.addr.clone(),
-            &self.server.clone(),
-            &frame(MSG_RESUME, &encoded),
-        )
-        .map(|_| ())
-        .map_err(|e| CoreError::Substrate(e.to_string()))
+        self.send(net, MSG_RESUME, &encoded)
     }
 
     /// Processes one pending inbound packet (ServerHello or connect
@@ -804,20 +710,12 @@ impl RemoteClient {
                     }
                     Err(e) => {
                         self.telemetry.end_span(verify, at, span_outcome::FAILED);
-                        if let Some(c) = self.connect_span.take() {
-                            let at = self.telemetry.tick();
-                            self.telemetry.end_span(c, at, span_outcome::FAILED);
-                        }
+                        self.end_connect(span_outcome::FAILED);
                         return Err(CoreError::Substrate(format!("handshake: {e}")));
                     }
                 };
                 self.state = ClientSession::FinishSent(Box::new(channel), info);
-                net.send(
-                    &self.addr.clone(),
-                    &self.server.clone(),
-                    &frame(MSG_FINISH, &finish),
-                )
-                .map_err(|e| CoreError::Substrate(e.to_string()))?;
+                self.send(net, MSG_FINISH, &finish)?;
                 Ok(true)
             }
             (MSG_REPLY, ClientSession::FinishSent(mut channel, info)) => {
@@ -843,20 +741,14 @@ impl RemoteClient {
                 let ticket = match parsed {
                     Ok(t) => t,
                     Err(e) => {
-                        if let Some(c) = self.connect_span.take() {
-                            let at = self.telemetry.tick();
-                            self.telemetry.end_span(c, at, span_outcome::FAILED);
-                        }
+                        self.end_connect(span_outcome::FAILED);
                         return Err(e);
                     }
                 };
                 self.ticket = Some(ticket);
                 self.peer_hint = Some(info.clone());
                 self.state = ClientSession::Established(channel, info);
-                if let Some(c) = self.connect_span.take() {
-                    let at = self.telemetry.tick();
-                    self.telemetry.end_span(c, at, span_outcome::OK);
-                }
+                self.end_connect(span_outcome::OK);
                 self.telemetry.metrics_mut().incr("remote.connects", 1);
                 Ok(true)
             }
@@ -889,18 +781,12 @@ impl RemoteClient {
                             attested: None,
                         });
                         self.state = ClientSession::Established(Box::new(channel), info);
-                        if let Some(c) = self.connect_span.take() {
-                            let at = self.telemetry.tick();
-                            self.telemetry.end_span(c, at, span_outcome::OK);
-                        }
+                        self.end_connect(span_outcome::OK);
                         self.telemetry.metrics_mut().incr("remote.resumes", 1);
                         Ok(true)
                     }
                     Err(e) => {
-                        if let Some(c) = self.connect_span.take() {
-                            let at = self.telemetry.tick();
-                            self.telemetry.end_span(c, at, span_outcome::FAILED);
-                        }
+                        self.end_connect(span_outcome::FAILED);
                         Err(e)
                     }
                 }
@@ -909,10 +795,7 @@ impl RemoteClient {
                 // The ticket is spent (epoch moved or server state was
                 // lost); fall back to the full attestation handshake
                 // via [`RemoteClient::start`].
-                if let Some(c) = self.connect_span.take() {
-                    let at = self.telemetry.tick();
-                    self.telemetry.end_span(c, at, span_outcome::FAILED);
-                }
+                self.end_connect(span_outcome::FAILED);
                 self.telemetry
                     .metrics_mut()
                     .incr("remote.resume_rejects", 1);
@@ -922,10 +805,7 @@ impl RemoteClient {
                 )))
             }
             (MSG_ERROR, _) => {
-                if let Some(c) = self.connect_span.take() {
-                    let at = self.telemetry.tick();
-                    self.telemetry.end_span(c, at, span_outcome::FAILED);
-                }
+                self.end_connect(span_outcome::FAILED);
                 Err(CoreError::Substrate(format!(
                     "server error: {}",
                     String::from_utf8_lossy(body)
@@ -936,39 +816,6 @@ impl RemoteClient {
                 Err(CoreError::Substrate(format!("unexpected frame {k}")))
             }
         }
-    }
-
-    /// Sends one request over the established channel.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Substrate`] when not connected.
-    pub fn send_request(&mut self, net: &mut Network, payload: &[u8]) -> Result<(), CoreError> {
-        let ClientSession::Established(channel, _) = &mut self.state else {
-            return Err(CoreError::Substrate("not connected".into()));
-        };
-        if let Some((old, _)) = self.request.take() {
-            // The previous request's reply never arrived.
-            let at = self.telemetry.tick();
-            self.telemetry.end_span(old, at, span_outcome::FAILED);
-        }
-        let at = self.telemetry.tick();
-        let span = self.telemetry.begin_span("request", "remote", at);
-        let ctx = self.telemetry.context().expect("request span is open");
-        let at = self.telemetry.tick();
-        let seal_span = self.telemetry.begin_span("channel.seal", "channel", at);
-        let record = channel.seal_traced(ctx, payload);
-        let at = self.telemetry.tick();
-        self.telemetry.end_span(seal_span, at, span_outcome::OK);
-        self.request = Some((span, ctx));
-        self.telemetry.metrics_mut().incr("remote.requests", 1);
-        net.send(
-            &self.addr.clone(),
-            &self.server.clone(),
-            &frame(MSG_REQUEST, &record),
-        )
-        .map(|_| ())
-        .map_err(|e| CoreError::Substrate(e.to_string()))
     }
 
     /// Queues one multiplexed request and returns its id. Nothing hits
@@ -1009,7 +856,7 @@ impl RemoteClient {
             trace_id: self.root_trace,
             parent: span,
         };
-        self.pending.insert(id, (span, ctx));
+        self.pending.insert(id, span);
         self.outbox.push(RequestEntry {
             id,
             ctx,
@@ -1029,22 +876,16 @@ impl RemoteClient {
         let ClientSession::Established(channel, _) = &mut self.state else {
             return Err(CoreError::Substrate("not connected".into()));
         };
-        if self.outbox.is_empty() {
+        let flushed = self.outbox.len();
+        if flushed == 0 {
             return Ok(0);
         }
-        let entries = std::mem::take(&mut self.outbox);
-        let group = encode_request_group(&entries);
-        let record = channel.seal(&group);
+        let record = channel.seal(&encode_request_group(&self.outbox));
+        self.outbox.clear();
         let at = self.telemetry.tick();
         self.telemetry
             .instant("channel.seal", "channel", at, span_outcome::OK);
-        net.send(
-            &self.addr.clone(),
-            &self.server.clone(),
-            &frame(MSG_REQ_GROUP, &record),
-        )
-        .map(|_| entries.len())
-        .map_err(|e| CoreError::Substrate(e.to_string()))
+        self.send(net, MSG_REQ_GROUP, &record).map(|()| flushed)
     }
 
     /// Drains one pending reply-group record (if any), ending the span
@@ -1053,9 +894,11 @@ impl RemoteClient {
     ///
     /// # Errors
     ///
-    /// Record verification failures or server-reported errors; per
-    /// -request failures are returned *inside* the vec, typed
-    /// [`CoreError::Overloaded`] for window refusals.
+    /// Record verification failures, server-reported errors, and a
+    /// reply entry whose id is not in flight (never submitted, or
+    /// already answered): the poll fails and hands back nothing from
+    /// that group. Per-request failures are returned *inside* the vec,
+    /// typed [`CoreError::Overloaded`] for window refusals.
     #[allow(clippy::type_complexity)]
     pub fn poll_group_replies(
         &mut self,
@@ -1083,15 +926,19 @@ impl RemoteClient {
                     .map_err(|e| CoreError::Substrate(format!("group: {e}")))?;
                 let mut out = Vec::with_capacity(entries.len());
                 for entry in entries {
-                    if let Some((span, _)) = self.pending.remove(&entry.id) {
-                        let at = self.telemetry.tick();
-                        let outcome = if entry.status == STATUS_OK {
-                            span_outcome::OK
-                        } else {
-                            span_outcome::FAILED
-                        };
-                        self.telemetry.end_span(span, at, outcome);
-                    }
+                    let Some(span) = self.pending.remove(&entry.id) else {
+                        return Err(CoreError::Substrate(format!(
+                            "reply for request {} that is not in flight",
+                            entry.id
+                        )));
+                    };
+                    let at = self.telemetry.tick();
+                    let outcome = if entry.status == STATUS_OK {
+                        span_outcome::OK
+                    } else {
+                        span_outcome::FAILED
+                    };
+                    self.telemetry.end_span(span, at, outcome);
                     let result = match entry.status {
                         STATUS_OK => Ok(entry.payload),
                         STATUS_OVERLOADED => Err(CoreError::Overloaded(
@@ -1121,84 +968,37 @@ impl RemoteClient {
         self.state = ClientSession::Idle;
         self.outbox.clear();
         let pending = std::mem::take(&mut self.pending);
-        for (_, (span, _)) in pending {
+        for (_, span) in pending {
             let at = self.telemetry.tick();
             self.telemetry.end_span(span, at, span_outcome::FAILED);
         }
-        if let Some((span, _)) = self.request.take() {
-            let at = self.telemetry.tick();
-            self.telemetry.end_span(span, at, span_outcome::FAILED);
-        }
-        if let Some(c) = self.connect_span.take() {
-            let at = self.telemetry.tick();
-            self.telemetry.end_span(c, at, span_outcome::FAILED);
-        }
+        self.end_connect(span_outcome::FAILED);
     }
 
-    /// Receives one pending reply, if any.
+    /// Submits and flushes one request: a one-entry group, with no
+    /// logic of its own. perfbench's lock-step client still calls it;
+    /// the next change to the benchmark moves that client onto
+    /// [`RemoteClient::submit`]/[`RemoteClient::flush`] and deletes it.
     ///
     /// # Errors
     ///
-    /// Record verification failures or server-reported errors.
+    /// As [`RemoteClient::submit`] and [`RemoteClient::flush`].
+    pub fn send_request(&mut self, net: &mut Network, payload: &[u8]) -> Result<(), CoreError> {
+        self.submit(payload).and_then(|_| self.flush(net)).map(drop)
+    }
+
+    /// Polls one reply group and returns its (single) reply, with no
+    /// logic of its own. perfbench's lock-step client still calls it;
+    /// the next change to the benchmark moves that client onto
+    /// [`RemoteClient::poll_group_replies`] and deletes it.
+    ///
+    /// # Errors
+    ///
+    /// As [`RemoteClient::poll_group_replies`], plus the reply's own
+    /// failure.
     pub fn poll_reply(&mut self, net: &mut Network) -> Result<Option<Vec<u8>>, CoreError> {
-        let Some(packet) = net
-            .recv(&self.addr)
-            .map_err(|e| CoreError::Substrate(e.to_string()))?
-        else {
-            return Ok(None);
-        };
-        let (kind, body) = unframe(&packet.payload)?;
-        match kind {
-            MSG_REPLY => {
-                let ClientSession::Established(channel, _) = &mut self.state else {
-                    return Err(CoreError::Substrate("not connected".into()));
-                };
-                let at = self.telemetry.tick();
-                let open_span = self.telemetry.begin_span("channel.open", "channel", at);
-                let opened = channel.open_traced(body);
-                let at = self.telemetry.tick();
-                match opened {
-                    Ok((ctx, payload)) => {
-                        self.telemetry.end_span(open_span, at, span_outcome::OK);
-                        if let Some((span, sent)) = self.request.take() {
-                            let echoed = ctx.trace_id == sent.trace_id;
-                            let outcome = if echoed {
-                                span_outcome::OK
-                            } else {
-                                span_outcome::FAILED
-                            };
-                            let at = self.telemetry.tick();
-                            self.telemetry.end_span(span, at, outcome);
-                            if !echoed {
-                                return Err(CoreError::Substrate(
-                                    "reply landed in a foreign trace".into(),
-                                ));
-                            }
-                        }
-                        Ok(Some(payload))
-                    }
-                    Err(e) => {
-                        self.telemetry.end_span(open_span, at, span_outcome::FAILED);
-                        if let Some((span, _)) = self.request.take() {
-                            let at = self.telemetry.tick();
-                            self.telemetry.end_span(span, at, span_outcome::FAILED);
-                        }
-                        Err(CoreError::Substrate(format!("record: {e}")))
-                    }
-                }
-            }
-            MSG_ERROR => {
-                if let Some((span, _)) = self.request.take() {
-                    let at = self.telemetry.tick();
-                    self.telemetry.end_span(span, at, span_outcome::FAILED);
-                }
-                Err(CoreError::Substrate(format!(
-                    "server error: {}",
-                    String::from_utf8_lossy(body)
-                )))
-            }
-            k => Err(CoreError::Substrate(format!("unexpected frame {k}"))),
-        }
+        self.poll_group_replies(net)
+            .and_then(|replies| replies.into_iter().next().map(|(_, r)| r).transpose())
     }
 }
 
@@ -1228,7 +1028,8 @@ pub fn establish(
     }
 }
 
-/// Convenience driver for one request/reply round trip.
+/// Convenience driver for one lock-step request/reply round trip: a
+/// one-entry [`call_batch`], i.e. the multiplexed path at window 1.
 ///
 /// # Errors
 ///
@@ -1240,11 +1041,9 @@ pub fn call(
     server_assembly: &mut Assembly,
     payload: &[u8],
 ) -> Result<Vec<u8>, CoreError> {
-    client.send_request(net, payload)?;
-    server.pump(net, server_assembly)?;
-    client
-        .poll_reply(net)?
-        .ok_or_else(|| CoreError::Substrate("reply lost in transit".into()))
+    call_batch(net, client, server, server_assembly, &[payload.to_vec()])?
+        .pop()
+        .unwrap_or_else(|| Err(CoreError::Substrate("reply lost in transit".into())))
 }
 
 /// Convenience driver: submits every payload as one multiplexed group,
@@ -1489,16 +1288,16 @@ mod tests {
         };
         let root = client.session_span();
         let root_trace = t.open_spans().find(|s| s.id == root).unwrap().trace_id;
-        // connect (with attestation verification attached) and the
-        // request (with seal/open attached) are children of the session
-        // root — one connected tree.
+        // connect (with attestation verification attached), the request
+        // and the group record's seal/open instants are children of the
+        // session root — one connected tree.
         let connect = span("connect");
         assert_eq!(connect.parent, root);
         assert_eq!(span("attest.verify").parent, connect.id);
         let request = span("request");
         assert_eq!(request.parent, root);
-        assert_eq!(span("channel.seal").parent, request.id);
-        assert_eq!(span("channel.open").parent, request.id);
+        assert_eq!(span("channel.seal").parent, root);
+        assert_eq!(span("channel.open").parent, root);
         assert!(t.spans().all(|s| s.trace_id == root_trace));
         // The server's serve span adopted the propagated context: same
         // trace id, parented on the client's request span.
@@ -1511,10 +1310,10 @@ mod tests {
         assert_eq!(serve.trace_id, root_trace);
         assert_eq!(serve.parent, request.id);
         assert_eq!(serve.outcome, span_outcome::OK);
-        // And the rendered client tree nests request → seal/open.
+        // And the rendered client tree shows seal/open under the root.
         let tree = client.telemetry().render_tree();
         assert!(tree.contains("remote svc [remote]"));
-        assert!(tree.contains("\n    channel.seal [channel]"));
+        assert!(tree.contains("\n  channel.seal [channel]"));
     }
 
     #[test]
@@ -1595,7 +1394,7 @@ mod tests {
         net.inject(
             &Addr::new("client"),
             &Addr::new("svc"),
-            &frame(MSG_REQUEST, b"junk"),
+            &frame(MSG_REQ_GROUP, b"junk"),
         )
         .unwrap();
         server.pump(&mut net, &mut server_asm).unwrap();
@@ -1618,11 +1417,11 @@ mod tests {
         establish(&mut net, &mut client, None, &mut server, &mut server_asm).unwrap();
         call(&mut net, &mut client, &mut server, &mut server_asm, b"").unwrap();
         // The adversary replays the recorded request (packet index 4 =
-        // first MSG_REQUEST; compute it robustly instead).
+        // first MSG_REQ_GROUP; compute it robustly instead).
         let idx = net
             .recorded()
             .iter()
-            .position(|p| p.payload.first() == Some(&MSG_REQUEST))
+            .position(|p| p.payload.first() == Some(&MSG_REQ_GROUP))
             .unwrap();
         net.replay_recorded(idx).unwrap();
         server.pump(&mut net, &mut server_asm).unwrap();
@@ -1642,6 +1441,56 @@ mod tests {
         establish(&mut net, &mut client2, None, &mut server, &mut server_asm).unwrap();
         let reply = call(&mut net, &mut client2, &mut server, &mut server_asm, b"").unwrap();
         assert_eq!(u64::from_le_bytes(reply.try_into().unwrap()), 2);
+    }
+
+    #[test]
+    fn a_reply_whose_id_is_not_in_flight_is_refused() {
+        let mut net = Network::new("remote-stray-reply");
+        let mut server_asm = assembly(vec![ComponentManifest::new("counter")]);
+        let mut server = RemoteServer::bind(&mut net, Addr::new("svc"), export("counter"));
+        let mut client = RemoteClient::new(
+            &mut net,
+            Addr::new("client"),
+            Addr::new("svc"),
+            SigningKey::from_seed(b"c"),
+            ChannelPolicy::open(),
+            None,
+        );
+        establish(&mut net, &mut client, None, &mut server, &mut server_asm).unwrap();
+        let id = client.submit(b"").unwrap();
+        client.flush(&mut net).unwrap();
+        // Before the genuine reply, the server's channel seals a reply
+        // group answering an id the client never sent: authentic bytes,
+        // wrong request.
+        let Some(ServerSession::Established(channel, _)) =
+            server.sessions.get_mut(&Addr::new("client"))
+        else {
+            panic!("session established");
+        };
+        let stray = channel.seal(&encode_reply_group(&[ReplyEntry {
+            id: id + 40,
+            status: STATUS_OK,
+            payload: b"not yours".to_vec(),
+        }]));
+        net.send(
+            &Addr::new("svc"),
+            &Addr::new("client"),
+            &frame(MSG_REPLY_GROUP, &stray),
+        )
+        .unwrap();
+        let err = client.poll_group_replies(&mut net).unwrap_err();
+        assert!(err.to_string().contains("not in flight"), "{err}");
+        assert_eq!(client.in_flight(), 1, "the real request is still awaited");
+        // The genuine reply still lands after the refusal.
+        server.pump(&mut net, &mut server_asm).unwrap();
+        let replies = client.poll_group_replies(&mut net).unwrap();
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].0, id);
+        assert_eq!(
+            u64::from_le_bytes(replies[0].1.clone().unwrap().try_into().unwrap()),
+            1
+        );
+        assert_eq!(client.in_flight(), 0);
     }
 
     #[test]

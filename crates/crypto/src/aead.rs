@@ -81,11 +81,19 @@ impl Aead {
     /// The returned vector is `plaintext.len() + TAG_LEN` bytes.
     pub fn seal(&self, nonce: u64, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        out.extend_from_slice(plaintext);
-        chacha::xor_stream(&self.enc_key, 0, &Self::nonce_bytes(nonce), &mut out);
-        let tag = self.tag(nonce, aad, &out);
-        out.extend_from_slice(&tag);
+        self.seal_into(nonce, aad, plaintext, &mut out);
         out
+    }
+
+    /// [`Aead::seal`] appending the box to `out`, so a caller can frame
+    /// the box behind a header in one buffer without copying it.
+    pub fn seal_into(&self, nonce: u64, aad: &[u8], plaintext: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(plaintext);
+        let ciphertext = &mut out[start..];
+        chacha::xor_stream(&self.enc_key, 0, &Self::nonce_bytes(nonce), ciphertext);
+        let tag = self.tag(nonce, aad, ciphertext);
+        out.extend_from_slice(&tag);
     }
 
     /// Verifies and decrypts a sealed box produced by [`Aead::seal`].

@@ -196,7 +196,18 @@ impl Machine {
         }
     }
 
-    /// Splits `[addr, addr+len)` into per-frame spans.
+    /// Refuses a range `[addr, addr+len)` whose end overflows or runs
+    /// past physical memory, before anything is split or sized from it.
+    fn check_range(&self, addr: PhysAddr, len: usize) -> Result<(), HwError> {
+        let size = (self.mem.frame_count() * PAGE_SIZE) as u64;
+        match addr.0.checked_add(len as u64) {
+            Some(end) if end <= size => Ok(()),
+            _ => Err(HwError::BadAddress(addr)),
+        }
+    }
+
+    /// Splits `[addr, addr+len)` into per-frame spans; the range must
+    /// have passed [`Machine::check_range`].
     fn spans(addr: PhysAddr, len: usize) -> Vec<(PhysAddr, usize)> {
         let mut out = Vec::new();
         let mut cur = addr;
@@ -240,6 +251,7 @@ impl Machine {
         addr: PhysAddr,
         len: usize,
     ) -> Result<Vec<u8>, HwError> {
+        self.check_range(addr, len)?;
         let mut out = Vec::with_capacity(len);
         for (span_addr, span_len) in Self::spans(addr, len) {
             let vis = self.check_span(initiator, span_addr, AccessKind::Read)?;
@@ -274,6 +286,7 @@ impl Machine {
         addr: PhysAddr,
         bytes: &[u8],
     ) -> Result<(), HwError> {
+        self.check_range(addr, bytes.len())?;
         let mut offset = 0usize;
         for (span_addr, span_len) in Self::spans(addr, bytes.len()) {
             let vis = self.check_span(initiator, span_addr, AccessKind::Write)?;
@@ -365,6 +378,22 @@ mod tests {
         let cpu = Initiator::cpu(World::Normal);
         m.bus_write(cpu, f.base(), b"hello dram").unwrap();
         assert_eq!(m.bus_read(cpu, f.base(), 10).unwrap(), b"hello dram");
+    }
+
+    #[test]
+    fn ranges_that_wrap_or_overrun_memory_are_bad_addresses() {
+        let mut m = machine();
+        let cpu = Initiator::cpu(World::Normal);
+        let top = PhysAddr(u64::MAX - 2);
+        assert_eq!(m.bus_read(cpu, top, 8), Err(HwError::BadAddress(top)));
+        assert_eq!(
+            m.bus_write(cpu, top, &[0xEE; 8]),
+            Err(HwError::BadAddress(top))
+        );
+        assert_eq!(
+            m.bus_read(cpu, PhysAddr(0), usize::MAX),
+            Err(HwError::BadAddress(PhysAddr(0)))
+        );
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //!
 //! * [`sim`] — the message-passing network with an in-path adversary that
 //!   can record, drop, corrupt, replay, and inject packets;
-//! * [`wire`] — small length-prefixed framing helpers;
+//! * [`wire`] — small framing helpers (length-prefixed and fixed-width
+//!   fields);
 //! * [`channel`] — a TLS-like handshake (ephemeral DH, transcript
-//!   signatures) producing an AEAD record channel, plus the *attested*
-//!   variant where a party binds [`AttestationEvidence`] to the channel
-//!   key — the paper's mechanism for trusting a remote anonymizer before
-//!   sending it any readings;
+//!   signatures) producing an AEAD record channel with one record format
+//!   (an explicit sequence number and one sealed body), plus the
+//!   *attested* variant where a party binds [`AttestationEvidence`] to
+//!   the channel key — the paper's mechanism for trusting a remote
+//!   anonymizer before sending it any readings;
 //! * [`session`] — the multiplexed session layer: many in-flight
 //!   requests per channel (ids and trace contexts inside the sealed
 //!   record) and single-use resumption tickets that amortize the
@@ -63,8 +65,13 @@ pub enum NetError {
     Decode(String),
     /// A handshake step failed (bad signature, bad share, bad evidence).
     HandshakeFailed(String),
-    /// A record failed authentication or arrived out of order.
+    /// A record failed authentication or arrived ahead of its turn.
     RecordRejected(String),
+    /// An authentic record whose sequence number was already delivered:
+    /// a replay or a retransmitted copy. Strict callers refuse it like
+    /// any other bad record; a receiver on a lossy link counts it and
+    /// moves on, since its window did not move.
+    Duplicate(u64),
     /// The remote attestation check failed.
     AttestationRejected(String),
     /// Delivery was not observed in time — the typed timeout
@@ -91,6 +98,9 @@ impl fmt::Display for NetError {
             NetError::Decode(r) => write!(f, "decode error: {r}"),
             NetError::HandshakeFailed(r) => write!(f, "handshake failed: {r}"),
             NetError::RecordRejected(r) => write!(f, "record rejected: {r}"),
+            NetError::Duplicate(seq) => {
+                write!(f, "duplicate record: sequence {seq} already delivered")
+            }
             NetError::AttestationRejected(r) => write!(f, "attestation rejected: {r}"),
             NetError::Timeout(r) => write!(f, "timeout: {r}"),
             NetError::RetryExhausted { attempts, last_err } => {

@@ -11,7 +11,12 @@
 //!   replies) sealed as ONE record. Each entry carries its own id and
 //!   [`TraceContext`], so every multiplexed request still lands as a
 //!   child span of its *own* caller; replies are sorted by id, making
-//!   reply ordering deterministic regardless of serve order.
+//!   reply ordering deterministic regardless of serve order. Groups are
+//!   the only place request ids and trace contexts travel: a lock-step
+//!   call is a one-entry group. The codec writes fixed-width fields raw
+//!   and length-prefixes only payloads, so a one-entry group with a
+//!   24-byte payload is 58 bytes; it stays strict all the same (count
+//!   guard, bounds-checked reads, trailing bytes refused).
 //! * [`ResumptionTicket`] / [`TicketStore`] — a single-use ticket bound
 //!   to the verified evidence digest and the [`SessionEpoch`] at mint
 //!   time. Redemption proves possession of the ticket secret (HMAC over
@@ -23,7 +28,7 @@ use std::collections::BTreeMap;
 
 use lateral_crypto::hmac::{hkdf, HmacSha256};
 use lateral_crypto::rng::Drbg;
-use lateral_telemetry::TraceContext;
+use lateral_telemetry::{TraceContext, CTX_ENCODED_LEN};
 
 use crate::channel::SecureChannel;
 use crate::wire::{put_field, Reader};
@@ -64,13 +69,38 @@ pub struct ReplyEntry {
     pub payload: Vec<u8>,
 }
 
-/// Serializes a request group (seal the result with the channel).
+/// Request-group bytes per entry besides its payload: id, trace
+/// context, payload length.
+const REQUEST_ENTRY_FIXED: usize = 8 + CTX_ENCODED_LEN + 4;
+/// Reply-group bytes per entry besides its payload: id, status,
+/// payload length.
+const REPLY_ENTRY_FIXED: usize = 8 + 1 + 4;
+
+/// Reads a group's entry count, refusing one above [`MAX_GROUP`] before
+/// anything is sized from it.
+fn group_count(r: &mut Reader<'_>, what: &str) -> Result<usize, NetError> {
+    let count = u32::from_le_bytes(r.fixed()?) as usize;
+    if count > MAX_GROUP {
+        return Err(NetError::Decode(format!(
+            "{what} group claims {count} entries (max {MAX_GROUP})"
+        )));
+    }
+    Ok(count)
+}
+
+/// Serializes a request group (seal the result with the channel):
+/// `count:u32`, then per entry `id:u64 ‖ ctx:18 ‖ len:u32 ‖ payload`.
+/// Fixed-width fields are written raw; only payloads carry a length.
 pub fn encode_request_group(entries: &[RequestEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_field(&mut out, &(entries.len() as u32).to_le_bytes());
+    let size = 4 + entries
+        .iter()
+        .map(|e| REQUEST_ENTRY_FIXED + e.payload.len())
+        .sum::<usize>();
+    let mut out = Vec::with_capacity(size);
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for e in entries {
-        put_field(&mut out, &e.id.to_le_bytes());
-        put_field(&mut out, &e.ctx.encode());
+        out.extend_from_slice(&e.id.to_le_bytes());
+        out.extend_from_slice(&e.ctx.encode());
         put_field(&mut out, &e.payload);
     }
     out
@@ -84,16 +114,11 @@ pub fn encode_request_group(entries: &[RequestEntry]) -> Vec<u8> {
 /// [`MAX_GROUP`], or trailing bytes.
 pub fn decode_request_group(bytes: &[u8]) -> Result<Vec<RequestEntry>, NetError> {
     let mut r = Reader::new(bytes);
-    let count = u32::from_le_bytes(r.array()?) as usize;
-    if count > MAX_GROUP {
-        return Err(NetError::Decode(format!(
-            "request group claims {count} entries (max {MAX_GROUP})"
-        )));
-    }
+    let count = group_count(&mut r, "request")?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        let id = u64::from_le_bytes(r.array()?);
-        let ctx = TraceContext::decode(r.field()?)
+        let id = u64::from_le_bytes(r.fixed()?);
+        let ctx = TraceContext::decode(&r.fixed::<CTX_ENCODED_LEN>()?)
             .map_err(|_| NetError::Decode("malformed trace context in request group".into()))?;
         let payload = r.field()?.to_vec();
         entries.push(RequestEntry { id, ctx, payload });
@@ -102,13 +127,18 @@ pub fn decode_request_group(bytes: &[u8]) -> Result<Vec<RequestEntry>, NetError>
     Ok(entries)
 }
 
-/// Serializes a reply group (seal the result with the channel).
+/// Serializes a reply group (seal the result with the channel):
+/// `count:u32`, then per entry `id:u64 ‖ status:u8 ‖ len:u32 ‖ payload`.
 pub fn encode_reply_group(entries: &[ReplyEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_field(&mut out, &(entries.len() as u32).to_le_bytes());
+    let size = 4 + entries
+        .iter()
+        .map(|e| REPLY_ENTRY_FIXED + e.payload.len())
+        .sum::<usize>();
+    let mut out = Vec::with_capacity(size);
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for e in entries {
-        put_field(&mut out, &e.id.to_le_bytes());
-        put_field(&mut out, &[e.status]);
+        out.extend_from_slice(&e.id.to_le_bytes());
+        out.push(e.status);
         put_field(&mut out, &e.payload);
     }
     out
@@ -122,16 +152,11 @@ pub fn encode_reply_group(entries: &[ReplyEntry]) -> Vec<u8> {
 /// count exceeding [`MAX_GROUP`], or trailing bytes.
 pub fn decode_reply_group(bytes: &[u8]) -> Result<Vec<ReplyEntry>, NetError> {
     let mut r = Reader::new(bytes);
-    let count = u32::from_le_bytes(r.array()?) as usize;
-    if count > MAX_GROUP {
-        return Err(NetError::Decode(format!(
-            "reply group claims {count} entries (max {MAX_GROUP})"
-        )));
-    }
+    let count = group_count(&mut r, "reply")?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        let id = u64::from_le_bytes(r.array()?);
-        let [status] = r.array()?;
+        let id = u64::from_le_bytes(r.fixed()?);
+        let [status] = r.fixed()?;
         if status > STATUS_OVERLOADED {
             return Err(NetError::Decode(format!("unknown reply status {status}")));
         }
@@ -621,6 +646,38 @@ mod tests {
         }]);
         reply.push(0xFF);
         assert!(decode_reply_group(&reply).is_err());
+    }
+
+    #[test]
+    fn groups_write_fixed_width_fields_raw() {
+        // count 4 + id 8 + context 18 + length 4 + payload 24 = 58:
+        // the ciphertext fits one 64-byte ChaCha20 block.
+        let one = encode_request_group(&[RequestEntry {
+            id: 1,
+            ctx: ctx(7, 3),
+            payload: vec![0xAB; 24],
+        }]);
+        assert_eq!(one.len(), 58);
+        let reply = encode_reply_group(&[ReplyEntry {
+            id: 1,
+            status: STATUS_OK,
+            payload: vec![0xCD; 8],
+        }]);
+        assert_eq!(reply.len(), 4 + 8 + 1 + 4 + 8);
+        // A raw count above the guard is refused before anything is
+        // sized from it.
+        for count in [MAX_GROUP as u32 + 1, u32::MAX] {
+            let bytes = count.to_le_bytes();
+            for result in [
+                decode_request_group(&bytes).map(drop),
+                decode_reply_group(&bytes).map(drop),
+            ] {
+                assert!(
+                    matches!(&result, Err(NetError::Decode(m)) if m.contains("max")),
+                    "{result:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Length-prefixed wire encoding helpers.
+//! Wire encoding helpers: length-prefixed fields and raw fixed-width
+//! ones.
 //!
 //! Handshake messages carry several variable-length fields; a tiny
 //! reader/writer pair keeps the parsing honest (every read is bounds
@@ -46,7 +47,23 @@ impl<'a> Reader<'a> {
         Ok(body)
     }
 
-    /// Reads a fixed-size field as an array.
+    /// Reads `N` raw bytes: a fixed-width field written without a
+    /// length prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Decode`] on truncation.
+    pub(crate) fn fixed<const N: usize>(&mut self) -> Result<[u8; N], NetError> {
+        let bytes = self
+            .data
+            .get(self.pos..)
+            .and_then(|rest| rest.first_chunk::<N>())
+            .ok_or_else(|| NetError::Decode(format!("truncated {N}-byte field")))?;
+        self.pos += N;
+        Ok(*bytes)
+    }
+
+    /// Reads a length-prefixed field as a fixed-size array.
     ///
     /// # Errors
     ///
@@ -110,6 +127,15 @@ mod tests {
         let mut r = Reader::new(&buf);
         r.field().unwrap();
         assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn raw_fixed_fields_are_bounds_checked() {
+        let mut r = Reader::new(&[1, 2, 3, 4, 5]);
+        assert_eq!(r.fixed::<4>().unwrap(), [1, 2, 3, 4]);
+        assert!(r.fixed::<2>().is_err());
+        assert_eq!(r.fixed::<1>().unwrap(), [5]);
+        r.finish().unwrap();
     }
 
     #[test]

@@ -112,7 +112,8 @@ impl BackendPolicy for SoftwareSubstrate {
     }
 
     fn place(&mut self, id: DomainId, _kind: DomainKind) -> Result<(), SubstrateError> {
-        let pages = self.fabric.table().get(id)?.spec.mem_pages;
+        // At least one page, as on every other backend.
+        let pages = self.fabric.table().get(id)?.spec.mem_pages.max(1);
         // Memory slots parallel the domain table; ids are never reused.
         debug_assert_eq!(id.0 as usize, self.memories.len());
         self.memories.push(vec![0u8; pages * PAGE]);

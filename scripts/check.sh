@@ -27,6 +27,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# Docs are part of the API: a link to a deleted or private item fails.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # The behavioural contract. One release `repro all` must reproduce the
 # checked-in repro_output.txt byte for byte, apart from the lines tagged
 # "wall-clock" (single-shot throughput measurements) and "host-cores"
@@ -34,7 +38,7 @@ cargo fmt --check
 # every experiment's digests and verdict lines, E15's pinned 632f581d on
 # all six backends included, so a moved digest or count fails here; a
 # change that moves one regenerates repro_output.txt in its own diff.
-# repro writes BENCH_E14.json..BENCH_E18.json into its working
+# repro writes BENCH_E14.json..BENCH_E17.json into its working
 # directory, so it runs in a temporary directory.
 root="$(pwd)"
 tmpdir="$(mktemp -d)"
@@ -51,7 +55,7 @@ if ! cmp -s "$tmpdir/want.txt" "$tmpdir/got.txt"; then
 fi
 # The timing lines are left out of the compare; each must still report.
 for phrase in "invocations/sec" "round trips/sec" "readings/sec" \
-    "proofs ingested/sec" "rounds/sec" "requests/sec"; do
+    "proofs ingested/sec" "rounds/sec"; do
     if ! grep -q "$phrase" "$tmpdir/raw.txt"; then
         echo "repro all is missing its \"$phrase\" measurement" >&2
         exit 1

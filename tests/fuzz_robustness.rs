@@ -662,6 +662,67 @@ fn session_codecs_never_panic_on_arbitrary_bytes() {
 }
 
 #[test]
+fn record_opener_never_yields_a_payload_for_hostile_bytes() {
+    use lateral::net::channel::SecureChannel;
+    use lateral::net::NetError;
+
+    let mut rng = Drbg::from_seed(b"fuzz record opener");
+    let secret = [0x5A; 32];
+    let mut tx = SecureChannel::from_shared(&secret, true);
+    let mut rx = SecureChannel::from_shared(&secret, false);
+    // Deliver three records first, so both past and future sequence
+    // numbers exist around the genuine record (sequence 3).
+    let mut delivered = Vec::new();
+    for i in 0..3u8 {
+        let record = tx.seal(&[i]);
+        rx.open(&record).unwrap();
+        delivered.push(record);
+    }
+    let body = b"meter 17: 42 kWh, ok";
+    let genuine = tx.seal(body);
+
+    let mut hostile = Vec::new();
+    for len in 0..=80 {
+        let mut junk = vec![0u8; len];
+        rng.fill_bytes(&mut junk);
+        hostile.push(junk);
+    }
+    for cut in 0..genuine.len() {
+        hostile.push(genuine[..cut].to_vec());
+    }
+    // Every single-bit flip: the sequence prefix, the ciphertext and
+    // the tag.
+    for bit in 0..genuine.len() * 8 {
+        let mut flipped = genuine.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        hostile.push(flipped);
+    }
+    // The genuine box under a spliced past or future sequence.
+    for seq in [0u64, 2, 4, 5, u64::MAX] {
+        let mut spliced = seq.to_le_bytes().to_vec();
+        spliced.extend_from_slice(&genuine[8..]);
+        hostile.push(spliced);
+    }
+    for bytes in &hostile {
+        let got = rx.open(bytes);
+        assert!(
+            matches!(got, Err(NetError::RecordRejected(_))),
+            "{} hostile bytes opened as {got:?}",
+            bytes.len()
+        );
+    }
+
+    // None of it moved the window: the genuine record opens now, and a
+    // genuine replay (of it, or of an older record) is a typed
+    // duplicate that moves nothing either.
+    assert_eq!(rx.open(&genuine).unwrap(), body);
+    assert_eq!(rx.open(&genuine), Err(NetError::Duplicate(3)));
+    assert_eq!(rx.open(&delivered[0]), Err(NetError::Duplicate(0)));
+    let next = tx.seal(b"next");
+    assert_eq!(rx.open(&next).unwrap(), b"next");
+}
+
+#[test]
 fn subverted_component_report_roundtrips() {
     let mut rng = Drbg::from_seed(b"fuzz report");
     for _ in 0..CASES {

@@ -270,6 +270,21 @@ fn memory_bounds_agree_on_all_six() {
             matches!(sub.mem_read(d, 0, 1), Err(SubstrateError::NoSuchDomain(_))),
             "[{name}] a destroyed domain has no memory"
         );
+        // A 0-page spec still gets one page, on every backend.
+        let empty = sub
+            .spawn(
+                DomainSpec::named("no-pages").with_mem_pages(0),
+                Box::new(Echo),
+            )
+            .unwrap();
+        assert_eq!(sub.mem_read(empty, 0, 1).unwrap().len(), 1, "[{name}]");
+        assert!(
+            matches!(
+                sub.mem_read(empty, 4096, 1),
+                Err(SubstrateError::AccessDenied(_))
+            ),
+            "[{name}] a 0-page domain ends after its one page"
+        );
     }
 }
 
