@@ -23,52 +23,17 @@ fn main() -> ExitCode {
     };
     // Experiments are independent and deterministic: run them in
     // parallel, print in order.
-    let mut results: Vec<Option<Result<String, String>>> = ids.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for id in &ids {
-            handles.push(scope.spawn(move || {
-                // E14 through E17 also emit machine-readable
-                // benchmark records; share one measurement run with
-                // the report.
-                if *id == "e14" {
-                    let (report, json) = lateral_bench::e14_scaling::report_and_json();
-                    match std::fs::write("BENCH_E14.json", &json) {
-                        Ok(()) => eprintln!("note: wrote BENCH_E14.json"),
-                        Err(e) => eprintln!("note: could not write BENCH_E14.json: {e}"),
-                    }
-                    Ok(report)
-                } else if *id == "e15" {
-                    let (report, json) = lateral_bench::e15_fleet::report_and_json();
-                    match std::fs::write("BENCH_E15.json", &json) {
-                        Ok(()) => eprintln!("note: wrote BENCH_E15.json"),
-                        Err(e) => eprintln!("note: could not write BENCH_E15.json: {e}"),
-                    }
-                    Ok(report)
-                } else if *id == "e16" {
-                    let (report, json) = lateral_bench::e16_wot::report_and_json();
-                    match std::fs::write("BENCH_E16.json", &json) {
-                        Ok(()) => eprintln!("note: wrote BENCH_E16.json"),
-                        Err(e) => eprintln!("note: could not write BENCH_E16.json: {e}"),
-                    }
-                    Ok(report)
-                } else if *id == "e17" {
-                    let (report, json) = lateral_bench::e17_placement::report_and_json();
-                    match std::fs::write("BENCH_E17.json", &json) {
-                        Ok(()) => eprintln!("note: wrote BENCH_E17.json"),
-                        Err(e) => eprintln!("note: could not write BENCH_E17.json: {e}"),
-                    }
-                    Ok(report)
-                } else {
-                    lateral_bench::run(id)
-                }
-            }));
-        }
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("experiment thread panicked"));
-        }
+    let results: Vec<Result<String, String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = ids
+            .iter()
+            .map(|id| scope.spawn(move || lateral_bench::run(id)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("experiment thread panicked"))
+            .collect()
     });
-    for result in results.into_iter().flatten() {
+    for result in results {
         match result {
             Ok(report) => {
                 println!("{report}");

@@ -8,53 +8,29 @@
 //! handles, and `invoke_batch` validates the capability, runs the
 //! backend gate, and opens one span once for N same-channel calls.
 //!
-//! Two halves, deliberately separated:
+//! The same workload runs on all six backends, once through an invoke
+//! loop and once through `invoke_batch` on same-seed instances. The
+//! trace rings must be byte-identical (batching changes *when*
+//! validation happens, never what is recorded), the span-tree and
+//! invariant-metrics digests must be byte-identical across every
+//! backend (interning must not leak backend-specific structure), and
+//! the logical crossing-cost table is printed per backend — the
+//! E4-style cost ladder, now measured through the batched path.
 //!
-//! * **Deterministic sweep** (all six backends): a fixed workload runs
-//!   once through an invoke loop and once through `invoke_batch` on
-//!   same-seed instances. The trace rings must be byte-identical
-//!   (batching changes *when* validation happens, never what is
-//!   recorded), the span-tree and invariant-metrics digests must be
-//!   byte-identical across every backend (interning must not leak
-//!   backend-specific structure), and the logical crossing-cost table
-//!   is printed per backend — the E4-style cost ladder, now measured
-//!   through the batched path.
-//! * **Wall-clock measurement** (software backend only): invocations
-//!   per second through the loop and the batched path, printed against
-//!   the pre-interning baseline. Every such line is prefixed
-//!   `wall-clock` so the run-twice determinism gate in
-//!   `scripts/check.sh` can filter it before comparing bytes.
+//! The report stays on the logical clock. The rate of both paths in
+//! real time is perfbench's `invoke` workload (`fabric.invoke_ns.*` and
+//! `fabric.batch_ns_per_call` under `--trace 1`).
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use lateral_crypto::Digest;
 use lateral_substrate::cap::Badge;
-use lateral_substrate::software::SoftwareSubstrate;
 use lateral_substrate::substrate::{DomainSpec, Substrate};
 use lateral_substrate::testkit::Echo;
 use lateral_telemetry::outcome as span_outcome;
 
 use crate::e2_conformance::all_substrates;
 use crate::table::render;
-
-/// Invocations/sec of the software backend's invoke loop measured at
-/// the commit *before* the interning rework (2M-call release loop,
-/// 16-byte echo payload; runs: 2,657,621 / 2,633,307 / 2,644,859).
-/// The acceptance gate is ≥ 2× this number on the batched path.
-pub const PRE_PR_BASELINE_PER_SEC: u64 = 2_640_000;
-
-/// Calls per wall-clock measurement. Debug builds run the same code
-/// two orders of magnitude shorter — the wall-clock half is excluded
-/// from determinism comparisons, so the size switch affects nothing
-/// but test latency.
-#[cfg(debug_assertions)]
-const WALL_CLOCK_CALLS: usize = 20_000;
-#[cfg(not(debug_assertions))]
-const WALL_CLOCK_CALLS: usize = 2_000_000;
-
-/// Payloads per `invoke_batch` call in the wall-clock measurement.
-const WALL_CLOCK_BATCH: usize = 1024;
 
 /// Invocations in the deterministic per-backend sweep.
 const SWEEP_CALLS: usize = 64;
@@ -82,17 +58,6 @@ pub struct BackendSweep {
     /// Digest over the invariant metric-counter projection (deltas,
     /// `crossing.*` excluded) — must match on every backend.
     pub metrics_digest: String,
-}
-
-/// The software backend's wall-clock throughput numbers.
-#[derive(Clone, Copy, Debug)]
-pub struct WallClock {
-    /// Calls measured per path.
-    pub calls: usize,
-    /// Invocations/sec through the per-call `invoke` path.
-    pub loop_per_sec: u64,
-    /// Invocations/sec through `invoke_batch`.
-    pub batch_per_sec: u64,
 }
 
 fn setup(
@@ -215,64 +180,9 @@ pub fn run() -> Vec<BackendSweep> {
     (0..all_substrates().len()).map(run_backend).collect()
 }
 
-/// Measures wall-clock invocations/sec on the software backend, loop
-/// vs. batch. Logical results are asserted equal; the timing itself is
-/// inherently nondeterministic and printed only on `wall-clock` lines.
-pub fn run_wall_clock() -> WallClock {
-    let payload = [0x5au8; 16];
-
-    let mut sub = SoftwareSubstrate::new("e13-wall");
-    let (client, cap) = setup(&mut sub, "e13-wall");
-    let start = Instant::now();
-    for _ in 0..WALL_CLOCK_CALLS {
-        sub.invoke(client, &cap, &payload).expect("wall loop");
-    }
-    let loop_secs = start.elapsed().as_secs_f64();
-
-    let mut sub = SoftwareSubstrate::new("e13-wall");
-    let (client, cap) = setup(&mut sub, "e13-wall");
-    let views: Vec<&[u8]> = vec![&payload; WALL_CLOCK_BATCH];
-    let start = Instant::now();
-    let mut done = 0usize;
-    while done < WALL_CLOCK_CALLS {
-        let n = WALL_CLOCK_BATCH.min(WALL_CLOCK_CALLS - done);
-        let replies = sub
-            .invoke_batch(client, &cap, &views[..n])
-            .expect("wall batch");
-        done += replies.len();
-    }
-    let batch_secs = start.elapsed().as_secs_f64();
-
-    let per_sec = |secs: f64| {
-        if secs > 0.0 {
-            (WALL_CLOCK_CALLS as f64 / secs) as u64
-        } else {
-            u64::MAX
-        }
-    };
-    WallClock {
-        calls: WALL_CLOCK_CALLS,
-        loop_per_sec: per_sec(loop_secs),
-        batch_per_sec: per_sec(batch_secs),
-    }
-}
-
-fn group(n: u64) -> String {
-    let digits: Vec<char> = n.to_string().chars().rev().collect();
-    let mut out = String::new();
-    for (i, d) in digits.iter().enumerate() {
-        if i > 0 && i % 3 == 0 {
-            out.push(',');
-        }
-        out.push(*d);
-    }
-    out.chars().rev().collect()
-}
-
 /// Renders the throughput report.
 pub fn report() -> String {
     let results = run();
-    let wall = run_wall_clock();
 
     let mut rows = vec![vec![
         "backend".to_string(),
@@ -306,28 +216,17 @@ pub fn report() -> String {
             .all(|b| b.metrics_digest == results[0].metrics_digest);
     let rings = results.iter().all(|b| b.rings_match);
 
-    let ratio = |v: u64| v as f64 / PRE_PR_BASELINE_PER_SEC as f64;
     format!(
         "E13 — invocation throughput: allocation-free hot path, batched crossings\n\n\
          {}\n\
          The same {}-call workload ran as an invoke loop and as one\n\
          invoke_batch on same-seed instances of each backend. Batch and\n\
          loop trace rings byte-identical: {}. Span-tree and metrics\n\
-         digests under interning (backend-invariant: {}).\n\n\
-         wall-clock (software backend, {} calls, 16-byte echo payload;\n\
-         wall-clock lines are excluded from the determinism compare):\n\
-         wall-clock   invoke loop : {:>10} invocations/sec ({:.2}x pre-PR baseline {})\n\
-         wall-clock   invoke_batch: {:>10} invocations/sec ({:.2}x pre-PR baseline)\n",
+         digests under interning (backend-invariant: {}).\n",
         render(&rows),
         SWEEP_CALLS,
         if rings { "yes" } else { "NO" },
         if invariant { "yes" } else { "NO" },
-        group(wall.calls as u64),
-        group(wall.loop_per_sec),
-        ratio(wall.loop_per_sec),
-        group(PRE_PR_BASELINE_PER_SEC),
-        group(wall.batch_per_sec),
-        ratio(wall.batch_per_sec),
     )
 }
 
@@ -383,18 +282,8 @@ mod tests {
     }
 
     #[test]
-    fn report_is_deterministic_modulo_wall_clock() {
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("wall-clock"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
+    fn report_is_deterministic() {
         let (a, b) = (report(), report());
-        assert_eq!(
-            strip(&a),
-            strip(&b),
-            "two runs must differ only on wall-clock lines"
-        );
+        assert_eq!(a, b, "two identical runs must be byte-identical");
     }
 }

@@ -21,26 +21,21 @@
 //!   capped backoff, and an exhausted schedule defers the sealed batch
 //!   byte-identically rather than dropping it.
 //!
-//! Two halves, as in E13/E14:
+//! The identical scenario runs on a two-shard fabric of same-seed
+//! instances of each of the six backends. The gates: zero lost
+//! acknowledged readings (conservation), shed > 0, and a fleet-state
+//! digest that is identical across every backend and across two runs.
 //!
-//! * **Deterministic sweep** (all six backends): the identical scenario
-//!   on a two-shard fabric of same-seed instances of each backend. The
-//!   gates: zero lost acknowledged readings (conservation), shed > 0,
-//!   and a fleet-state digest that is identical across every backend
-//!   and across two runs.
-//! * **Wall-clock measurement** (software backend only): end-to-end
-//!   acknowledged readings/sec for the full chaos scenario, written to
-//!   `BENCH_E15.json`. Lines are prefixed `wall-clock` so the
-//!   run-twice determinism gate in `scripts/check.sh` can filter them.
-
-use std::time::Instant;
+//! The report stays on the logical clock. perfbench's `fleet` workload
+//! measures acknowledged readings per second on the same scenario at
+//! 100k meters.
 
 use lateral_apps::fleet::{FleetConfig, FleetStats, FleetWorld, FLEET_FW_V2_NAME};
 use lateral_substrate::fault::{ChurnEvent, ChurnPlan};
 use lateral_substrate::substrate::Substrate;
 
 use crate::e2_conformance::all_substrates;
-use crate::table::render;
+use crate::table::{group, render};
 
 /// Fleet size. Debug builds shrink the fleet so `cargo test` stays
 /// fast; the scenario (churn fractions, recall, burst) is identical, so
@@ -131,79 +126,10 @@ pub fn run() -> Vec<BackendFleet> {
     (0..all_substrates().len()).map(run_backend).collect()
 }
 
-/// Measures end-to-end acknowledged readings/sec for the full chaos
-/// scenario (software backend only).
-#[must_use]
-pub fn run_wall_clock() -> (u64, FleetStats) {
-    let mut world = FleetWorld::new(pool(0), scenario());
-    let start = Instant::now();
-    let stats = world.run();
-    let secs = start.elapsed().as_secs_f64();
-    let per_sec = if secs > 0.0 {
-        (stats.acked as f64 / secs) as u64
-    } else {
-        u64::MAX
-    };
-    (per_sec, stats)
-}
-
-fn group(n: u64) -> String {
-    let digits: Vec<char> = n.to_string().chars().rev().collect();
-    let mut out = String::new();
-    for (i, d) in digits.iter().enumerate() {
-        if i > 0 && i % 3 == 0 {
-            out.push(',');
-        }
-        out.push(*d);
-    }
-    out.chars().rev().collect()
-}
-
-/// The machine-readable benchmark record `repro` writes to
-/// `BENCH_E15.json`: the scenario parameters, the conservation ledger,
-/// and the wall-clock acknowledged-readings rate.
-#[must_use]
-pub fn bench_json(per_sec: u64, stats: &FleetStats, invariant: bool, digest: &str) -> String {
-    format!(
-        "{{\n  \"experiment\": \"e15\",\n  \
-         \"meters\": {},\n  \
-         \"rounds\": {},\n  \
-         \"crash_ppm\": {},\n  \
-         \"produced\": {},\n  \
-         \"acked\": {},\n  \
-         \"shed\": {},\n  \
-         \"wan_retransmissions\": {},\n  \
-         \"crashes\": {},\n  \
-         \"respawns\": {},\n  \
-         \"quarantined_by_recall\": {},\n  \
-         \"readings_per_sec\": {per_sec},\n  \
-         \"backend_invariant\": {invariant},\n  \
-         \"fleet_digest\": \"{digest}\"\n}}\n",
-        FLEET_METERS,
-        FLEET_ROUNDS,
-        CRASH_PPM,
-        stats.produced,
-        stats.acked,
-        stats.shed,
-        stats.wan_retransmissions,
-        stats.crashes,
-        stats.respawns,
-        stats.quarantined_by_recall,
-    )
-}
-
 /// Renders the fleet robustness report.
 #[must_use]
 pub fn report() -> String {
-    report_and_json().0
-}
-
-/// Renders the report together with the machine-readable
-/// `BENCH_E15.json` payload, sharing one measurement run.
-#[must_use]
-pub fn report_and_json() -> (String, String) {
     let results = run();
-    let (per_sec, wall_stats) = run_wall_clock();
 
     let mut rows = vec![vec![
         "backend".to_string(),
@@ -234,10 +160,8 @@ pub fn report_and_json() -> (String, String) {
     let invariant = results
         .iter()
         .all(|b| b.fleet_digest == results[0].fleet_digest);
-    let digest = results.first().map_or("-", |b| b.fleet_digest.as_str());
 
-    let json = bench_json(per_sec, &wall_stats, invariant, digest);
-    let report = format!(
+    format!(
         "E15 — fleet robustness: chaos, backpressure, graceful degradation\n\n\
          {}\n\
          A {}-meter fleet ran {} rounds on a two-shard fabric of each\n\
@@ -248,8 +172,7 @@ pub fn report_and_json() -> (String, String) {
          timeouts). Every produced reading was acknowledged — shed and\n\
          deferred load is retried deterministically, never dropped —\n\
          and the fleet-state digest is the same on every backend\n\
-         (backend-invariant: {}).\n\n\
-         wall-clock   fleet: {:>11} acked readings/sec (software backend, end to end)\n",
+         (backend-invariant: {}).\n",
         render(&rows),
         group(u64::from(FLEET_METERS)),
         FLEET_ROUNDS,
@@ -257,9 +180,7 @@ pub fn report_and_json() -> (String, String) {
         CRASH_PPM as f64 / 10_000.0,
         RECALL_ROUND,
         if invariant { "yes" } else { "NO" },
-        group(per_sec),
-    );
-    (report, json)
+    )
 }
 
 #[cfg(test)]
@@ -299,33 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn report_is_deterministic_modulo_wall_clock() {
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("wall-clock"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
+    fn report_is_deterministic() {
         let (a, b) = (report(), report());
-        assert_eq!(
-            strip(&a),
-            strip(&b),
-            "two runs must differ only on wall-clock lines"
-        );
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let stats = FleetStats {
-            produced: 700_000,
-            acked: 700_000,
-            shed: 50_000,
-            ..FleetStats::default()
-        };
-        let json = bench_json(1_500_000, &stats, true, "0011223344556677");
-        assert!(json.contains("\"experiment\": \"e15\""));
-        assert!(json.contains("\"readings_per_sec\": 1500000"));
-        assert!(json.contains("\"backend_invariant\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(a, b, "two identical runs must be byte-identical");
     }
 }

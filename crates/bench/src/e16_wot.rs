@@ -23,15 +23,15 @@
 //!   than cold plus its one probe. A final review-only distrust wave
 //!   re-certifies with *zero* matrix work ([`ConvergeMode::Clean`]) —
 //!   the quarantine path costs no EigenTrust iterations at all.
-//! * **Wall-clock measurement** (software registry only): ≥100k
-//!   component images and ≥1M signed proofs (release; debug builds
-//!   shrink the population) ingested through the registry with every
-//!   signature verified, then the cold fixed point and a one-delta
-//!   warm re-convergence are timed. Written to `BENCH_E16.json`; lines
-//!   are prefixed `wall-clock` so the run-twice determinism gate in
-//!   `scripts/check.sh` can filter them.
-
-use std::time::{Duration, Instant};
+//! * **Scale run** (software registry): ≥100k component images and ≥1M
+//!   signed proofs (release; debug builds shrink the population)
+//!   ingested through the registry with every signature verified. The
+//!   cold fixed point must run [`ConvergeMode::Full`], a one-delta
+//!   re-convergence [`ConvergeMode::Incremental`], and a review-only
+//!   distrust wave [`ConvergeMode::Clean`] while it demotes the image.
+//!   The proof count and both iteration counts are printed.
+//!
+//! The report stays on the logical clock: no leg is timed.
 
 use lateral_crypto::rng::Drbg;
 use lateral_crypto::sign::SigningKey;
@@ -41,7 +41,7 @@ use lateral_substrate::testkit::parity;
 use lateral_wot::{ConvergeMode, Proof, Rating, ReviewProof, Revocation, TrustGraph, TrustProof};
 
 use crate::e2_conformance::all_substrates;
-use crate::table::render;
+use crate::table::{group, render};
 
 /// Reviewer cohort of the per-backend certification sweep.
 pub const SWEEP_REVIEWERS: usize = 60;
@@ -78,10 +78,10 @@ pub const DELTAS_PER_ROUND: usize = 40;
 #[cfg(not(debug_assertions))]
 pub const DELTAS_PER_ROUND: usize = 100;
 
-/// Reviewer population of the wall-clock scale run (debug scale).
+/// Reviewer population of the scale run (debug scale).
 #[cfg(debug_assertions)]
 pub const SCALE_REVIEWERS: usize = 240;
-/// Reviewer population of the wall-clock scale run.
+/// Reviewer population of the scale run.
 #[cfg(not(debug_assertions))]
 pub const SCALE_REVIEWERS: usize = 20_000;
 
@@ -100,11 +100,6 @@ pub const SCALE_REVIEWS_PER_SUBJECT: usize = 7;
 /// puts the proof count past one million).
 #[cfg(not(debug_assertions))]
 pub const SCALE_REVIEWS_PER_SUBJECT: usize = 10;
-
-/// Proofs issued per batch in the scale run, so issuance (signing)
-/// stays out of the ingest clock without holding a million proofs in
-/// memory at once.
-const SCALE_CHUNK: usize = 20_000;
 
 /// One backend's certification sweep outcome.
 #[derive(Clone, Debug)]
@@ -386,25 +381,15 @@ pub fn delta_audit() -> DeltaAudit {
     audit
 }
 
-/// The wall-clock scale run outcome.
+/// The scale run outcome.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleRun {
-    /// Reviewer population.
-    pub reviewers: u64,
-    /// Component images reviewed.
-    pub subjects: u64,
     /// Proofs ingested through the registry (signatures verified).
     pub proofs: u64,
-    /// Ingest throughput, proofs per second.
-    pub proofs_per_sec: u64,
-    /// Cold EigenTrust fixed point latency, milliseconds.
-    pub full_converge_ms: u64,
     /// Iterations the cold fixed point took.
     pub full_iterations: u64,
-    /// Warm re-convergence latency after one trust-edge delta,
-    /// milliseconds.
-    pub incremental_reconverge_ms: u64,
-    /// Iterations the warm re-convergence took (probe included).
+    /// Iterations the warm re-convergence after one trust-edge delta
+    /// took (probe included).
     pub incremental_iterations: u64,
 }
 
@@ -412,15 +397,12 @@ fn scale_subject(s: usize) -> Digest {
     Digest::of(format!("e16 scale image {s}").as_bytes())
 }
 
-fn millis(d: Duration) -> u64 {
-    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
-}
-
 /// Ingests the full-scale proof population through a software
-/// registry, timing ingest (signature verification included), the
-/// cold fixed point, and a one-delta warm re-convergence.
+/// registry, every signature verified, then converges cold, re-converges
+/// warm after one trust delta, and demotes one image with a review-only
+/// distrust wave.
 #[must_use]
-pub fn run_wall_clock() -> ScaleRun {
+pub fn run_scale() -> ScaleRun {
     let reviewers: Vec<SigningKey> = (0..SCALE_REVIEWERS)
         .map(|i| SigningKey::from_seed(format!("e16 scale reviewer {i}").as_bytes()))
         .collect();
@@ -429,61 +411,36 @@ pub fn run_wall_clock() -> ScaleRun {
     graph.seed_root(&reviewers[0].verifying_key().to_bytes());
     registry.attach_wot(graph, 0);
 
-    let mut ingest = Duration::ZERO;
-    let mut chunk: Vec<Proof> = Vec::with_capacity(SCALE_CHUNK);
-    // Binary vouch tree, batched so issuance (signing) stays out of
-    // the ingest clock.
-    let mut i = 1;
-    while i < SCALE_REVIEWERS {
-        chunk.clear();
-        while i < SCALE_REVIEWERS && chunk.len() < SCALE_CHUNK {
-            let vouch = TrustProof::issue(
-                &reviewers[(i - 1) / 2],
-                &reviewers[i].verifying_key(),
-                Rating::High,
-                1,
-            );
-            chunk.push(Proof::Trust(vouch));
-            i += 1;
-        }
-        let t = Instant::now();
-        for p in &chunk {
-            registry.ingest_proof(p).expect("vouch verifies");
-        }
-        ingest += t.elapsed();
+    // Binary vouch tree, then the reviews.
+    for i in 1..SCALE_REVIEWERS {
+        let vouch = TrustProof::issue(
+            &reviewers[(i - 1) / 2],
+            &reviewers[i].verifying_key(),
+            Rating::High,
+            1,
+        );
+        registry
+            .ingest_proof(&Proof::Trust(vouch))
+            .expect("vouch verifies");
     }
-    let mut s = 0;
-    while s < SCALE_SUBJECTS {
-        chunk.clear();
-        while s < SCALE_SUBJECTS && chunk.len() + SCALE_REVIEWS_PER_SUBJECT <= SCALE_CHUNK {
-            let subject = scale_subject(s);
-            for k in 0..SCALE_REVIEWS_PER_SUBJECT {
-                let r = (s + k * 97) % SCALE_REVIEWERS;
-                let rating = match (s + k) % 7 {
-                    0 => Rating::Trust,
-                    6 => Rating::Neutral,
-                    _ => Rating::High,
-                };
-                chunk.push(Proof::Review(ReviewProof::issue(
-                    &reviewers[r],
-                    subject,
-                    rating,
-                    1,
-                )));
-            }
-            s += 1;
+    for s in 0..SCALE_SUBJECTS {
+        let subject = scale_subject(s);
+        for k in 0..SCALE_REVIEWS_PER_SUBJECT {
+            let r = (s + k * 97) % SCALE_REVIEWERS;
+            let rating = match (s + k) % 7 {
+                0 => Rating::Trust,
+                6 => Rating::Neutral,
+                _ => Rating::High,
+            };
+            let review = ReviewProof::issue(&reviewers[r], subject, rating, 1);
+            registry
+                .ingest_proof(&Proof::Review(review))
+                .expect("review verifies");
         }
-        let t = Instant::now();
-        for p in &chunk {
-            registry.ingest_proof(p).expect("review verifies");
-        }
-        ingest += t.elapsed();
     }
     let proofs = registry.stats().wot_proofs;
 
-    let t = Instant::now();
     let full = registry.wot_graph_mut().expect("graph attached").converge();
-    let full_converge_ms = millis(t.elapsed());
     assert_eq!(full.mode, ConvergeMode::Full, "first convergence runs cold");
     assert!(full.converged, "cold chain within the iteration budget");
 
@@ -498,9 +455,7 @@ pub fn run_wall_clock() -> ScaleRun {
     registry
         .ingest_proof(&Proof::Trust(delta))
         .expect("delta verifies");
-    let t = Instant::now();
     let incr = registry.wot_graph_mut().expect("graph attached").converge();
-    let incremental_reconverge_ms = millis(t.elapsed());
     assert_eq!(
         incr.mode,
         ConvergeMode::Incremental,
@@ -532,83 +487,19 @@ pub fn run_wall_clock() -> ScaleRun {
         "the wave demotes the image"
     );
 
-    let secs = ingest.as_secs_f64();
-    let proofs_per_sec = if secs > 0.0 {
-        (proofs as f64 / secs) as u64
-    } else {
-        u64::MAX
-    };
     ScaleRun {
-        reviewers: SCALE_REVIEWERS as u64,
-        subjects: SCALE_SUBJECTS as u64,
         proofs,
-        proofs_per_sec,
-        full_converge_ms,
         full_iterations: full.iterations,
-        incremental_reconverge_ms,
         incremental_iterations: incr.iterations,
     }
-}
-
-fn group(n: u64) -> String {
-    let digits: Vec<char> = n.to_string().chars().rev().collect();
-    let mut out = String::new();
-    for (i, d) in digits.iter().enumerate() {
-        if i > 0 && i % 3 == 0 {
-            out.push(',');
-        }
-        out.push(*d);
-    }
-    out.chars().rev().collect()
-}
-
-/// The machine-readable benchmark record `repro` writes to
-/// `BENCH_E16.json`: the population, the throughput and latency
-/// measurements, and the three gate verdicts.
-#[must_use]
-pub fn bench_json(scale: &ScaleRun, audit: &DeltaAudit, invariant: bool, digest: &str) -> String {
-    format!(
-        "{{\n  \"experiment\": \"e16\",\n  \
-         \"reviewers\": {},\n  \
-         \"subjects\": {},\n  \
-         \"proofs\": {},\n  \
-         \"proofs_per_sec\": {},\n  \
-         \"full_converge_ms\": {},\n  \
-         \"full_iterations\": {},\n  \
-         \"incremental_reconverge_ms\": {},\n  \
-         \"incremental_iterations\": {},\n  \
-         \"mixed_deltas\": {},\n  \
-         \"incremental_identical\": {},\n  \
-         \"wave_reconverge_free\": {},\n  \
-         \"backend_invariant\": {invariant},\n  \
-         \"scores_digest\": \"{digest}\"\n}}\n",
-        scale.reviewers,
-        scale.subjects,
-        scale.proofs,
-        scale.proofs_per_sec,
-        scale.full_converge_ms,
-        scale.full_iterations,
-        scale.incremental_reconverge_ms,
-        scale.incremental_iterations,
-        audit.deltas,
-        audit.identical,
-        audit.wave_was_free,
-    )
 }
 
 /// Renders the web-of-trust certification report.
 #[must_use]
 pub fn report() -> String {
-    report_and_json().0
-}
-
-/// Renders the report together with the machine-readable
-/// `BENCH_E16.json` payload, sharing one measurement run.
-#[must_use]
-pub fn report_and_json() -> (String, String) {
     let results = run();
     let audit = delta_audit();
-    let scale = run_wall_clock();
+    let scale = run_scale();
 
     let mut rows = vec![vec![
         "backend".to_string(),
@@ -631,10 +522,7 @@ pub fn report_and_json() -> (String, String) {
     let invariant = results
         .iter()
         .all(|b| b.scores_digest == results[0].scores_digest);
-    let digest = results.first().map_or("-", |b| b.scores_digest.as_str());
-
-    let json = bench_json(&scale, &audit, invariant, digest);
-    let report = format!(
+    format!(
         "E16 — web-of-trust certification: review proofs, incremental EigenTrust\n\n\
          {}\n\
          Each backend ran the wot parity case (wot-gated resolve, spawn,\n\
@@ -649,8 +537,11 @@ pub fn report_and_json() -> (String, String) {
          round) against {} cold, re-normalizing only {} dirty matrix\n\
          rows; the closing review-only distrust wave re-certified in 0\n\
          iterations (wave free: {}).\n\n\
-         wall-clock   wot: {:>9} proofs ingested/sec ({} proofs over {} reviewers, {} images, software registry)\n\
-         wall-clock   wot: cold fixed point {} ms ({} iters); warm re-converge after one trust delta {} ms ({} iters)\n",
+         Scale run (software registry): {} proofs from {}\n\
+         reviewers over {} images, every signature verified on\n\
+         ingest. The cold fixed point took {} iterations and the warm\n\
+         re-converge after one trust delta {}; a review-only distrust\n\
+         wave then demoted an image with no matrix work.\n",
         render(&rows),
         SWEEP_SUBJECTS,
         SWEEP_REVIEWERS,
@@ -662,16 +553,12 @@ pub fn report_and_json() -> (String, String) {
         group(audit.cold_iterations),
         audit.rows_rebuilt,
         if audit.wave_was_free { "yes" } else { "NO" },
-        group(scale.proofs_per_sec),
         group(scale.proofs),
-        group(scale.reviewers),
-        group(scale.subjects),
-        scale.full_converge_ms,
+        group(SCALE_REVIEWERS as u64),
+        group(SCALE_SUBJECTS as u64),
         scale.full_iterations,
-        scale.incremental_reconverge_ms,
         scale.incremental_iterations,
-    );
-    (report, json)
+    )
 }
 
 #[cfg(test)]
@@ -716,49 +603,8 @@ mod tests {
     }
 
     #[test]
-    fn report_is_deterministic_modulo_wall_clock() {
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("wall-clock"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
+    fn report_is_deterministic() {
         let (a, b) = (report(), report());
-        assert_eq!(
-            strip(&a),
-            strip(&b),
-            "two runs must differ only on wall-clock lines"
-        );
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let scale = ScaleRun {
-            reviewers: 20_000,
-            subjects: 100_000,
-            proofs: 1_019_999,
-            proofs_per_sec: 40_000,
-            full_converge_ms: 12,
-            full_iterations: 180,
-            incremental_reconverge_ms: 3,
-            incremental_iterations: 40,
-        };
-        let audit = DeltaAudit {
-            deltas: 10_000,
-            rounds: 100,
-            warm_iterations: 9_000,
-            cold_iterations: 9_500,
-            rows_rebuilt: 800,
-            clean_rounds: 0,
-            incremental_rounds: 100,
-            identical: true,
-            wave_was_free: true,
-        };
-        let json = bench_json(&scale, &audit, true, "0011223344556677");
-        assert!(json.contains("\"experiment\": \"e16\""));
-        assert!(json.contains("\"proofs\": 1019999"));
-        assert!(json.contains("\"incremental_identical\": true"));
-        assert!(json.contains("\"backend_invariant\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(a, b, "two identical runs must be byte-identical");
     }
 }

@@ -29,12 +29,7 @@
 //!   refused), measurements match baselines, and escrowed sealed state
 //!   reopens at the new home.
 //!
-//! Wall-clock lines (steady-state workload rate, one full
-//! profile→plan→migrate pipeline) are machine-dependent and prefixed
-//! `wall-clock` so `scripts/check.sh` strips them before the run-twice
-//! determinism compare.
-
-use std::time::Instant;
+//! The report stays on the logical clock: no leg is timed.
 
 use lateral_core::composer::{ComponentFactory, Health};
 use lateral_core::manifest::{AppManifest, ComponentManifest};
@@ -54,14 +49,6 @@ const ROUNDS: usize = 32;
 /// Uncounted rounds driven before each window so lazily granted
 /// environment capabilities and bridges exist before measuring.
 const WARMUP_ROUNDS: usize = 2;
-
-/// Workload rounds in the wall-clock steady-state leg (software pair).
-/// Debug builds run shorter; wall-clock lines are stripped from the
-/// determinism compare, so the switch affects only latency.
-#[cfg(debug_assertions)]
-const WALL_ROUNDS: usize = 2_000;
-#[cfg(not(debug_assertions))]
-const WALL_ROUNDS: usize = 50_000;
 
 /// Meter → ledger payload (the fat edge).
 const METER_PAYLOAD: [u8; 48] = [0x17; 48];
@@ -259,74 +246,10 @@ pub fn run() -> Vec<PairOutcome> {
     (0..all_substrates().len()).map(run_pair).collect()
 }
 
-/// Measures the wall-clock legs: steady-state workload rounds/sec on
-/// the software pair, and one full profile→plan→migrate pipeline on the
-/// SGX pair (in microseconds).
-#[must_use]
-pub fn run_wall_clock() -> (u64, u128) {
-    let mut sup = Supervisor::new(app(), pair(0), factory()).expect("compose wall pair");
-    drive(&mut sup, WARMUP_ROUNDS);
-    let start = Instant::now();
-    drive(&mut sup, WALL_ROUNDS);
-    let secs = start.elapsed().as_secs_f64();
-    let per_sec = if secs > 0.0 {
-        (WALL_ROUNDS as f64 / secs) as u64
-    } else {
-        u64::MAX
-    };
-
-    // `pair(3)` is the SGX pair in conformance-pool order.
-    let mut sup = Supervisor::new(app(), pair(3), factory()).expect("compose pipeline pair");
-    drive(&mut sup, WARMUP_ROUNDS + ROUNDS);
-    let start = Instant::now();
-    let plan = sup.optimize().expect("optimize");
-    sup.apply_plan(&plan).expect("apply plan");
-    (per_sec, start.elapsed().as_micros())
-}
-
-/// The machine-readable record `repro` writes to `BENCH_E17.json`:
-/// per-pair ticks before/after and migration counts, the
-/// backend-invariant decision digest, and the wall-clock legs.
-#[must_use]
-pub fn bench_json(results: &[PairOutcome], rounds_per_sec: u64, pipeline_micros: u128) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e17\",\n");
-    out.push_str(&format!(
-        "  \"rounds_per_window\": {ROUNDS},\n  \"pairs\": [\n"
-    ));
-    for (i, p) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"backend\": \"{}\", \"ticks_before\": {}, \"ticks_after\": {}, \
-             \"moves\": {}, \"migrations\": {}, \"predicted_saving\": {} }}{}\n",
-            p.backend,
-            p.ticks_before,
-            p.ticks_after,
-            p.moves,
-            p.migrations,
-            p.predicted_saving,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    let decision = results.first().map_or("", |p| p.decision_digest.as_str());
-    out.push_str(&format!(
-        "  ],\n  \"decision_digest\": \"{decision}\",\n  \
-         \"wall_clock_rounds_per_sec\": {rounds_per_sec},\n  \
-         \"wall_clock_pipeline_micros\": {pipeline_micros}\n}}\n"
-    ));
-    out
-}
-
 /// Renders the placement report.
 #[must_use]
 pub fn report() -> String {
-    report_and_json().0
-}
-
-/// Renders the placement report together with the machine-readable
-/// `BENCH_E17.json` payload, sharing one measurement run.
-#[must_use]
-pub fn report_and_json() -> (String, String) {
     let results = run();
-    let (rounds_per_sec, pipeline_micros) = run_wall_clock();
 
     let mut rows = vec![vec![
         "pair".to_string(),
@@ -377,8 +300,7 @@ pub fn report_and_json() -> (String, String) {
         && results
             .iter()
             .all(|p| p.pola == "clean" && p.state == "intact");
-    let json = bench_json(&results, rounds_per_sec, pipeline_micros);
-    let report = format!(
+    format!(
         "E17 — telemetry-driven placement: crossing profiles, cost models, live migration\n\n\
          {}\n\
          Each pool pairs one backend with a plain software substrate; the\n\
@@ -391,17 +313,12 @@ pub fn report_and_json() -> (String, String) {
          costs the ticks above. The [software software] pair ties and\n\
          stays put. Full-plan digests are backend-specific (they price\n\
          in ticks); the decision digest is not (backend-invariant: {}):\n\n\
-         {}\n\
-         wall-clock   steady state: {} workload rounds/sec (software pair)\n\
-         wall-clock   profile\u{2192}plan\u{2192}migrate pipeline: {} \u{b5}s (sgx pair, 3 components)\n",
+         {}",
         render(&rows),
         ROUNDS,
         if invariant { "yes" } else { "NO" },
         render(&digests),
-        rounds_per_sec,
-        pipeline_micros,
-    );
-    (report, json)
+    )
 }
 
 #[cfg(test)]
@@ -465,14 +382,5 @@ mod tests {
             assert_eq!(x.ticks_before, y.ticks_before, "{}", x.backend);
             assert_eq!(x.ticks_after, y.ticks_after, "{}", x.backend);
         }
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let json = bench_json(&run(), 10_000, 250);
-        assert!(json.contains("\"experiment\": \"e17\""));
-        assert!(json.contains("\"decision_digest\""));
-        assert!(json.contains("\"ticks_before\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

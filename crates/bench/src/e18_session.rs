@@ -648,13 +648,8 @@ mod tests {
     }
 
     #[test]
-    fn report_is_deterministic_modulo_wall_clock() {
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("wall-clock"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&report()), strip(&report()));
+    fn report_is_deterministic() {
+        let (a, b) = (report(), report());
+        assert_eq!(a, b, "two identical runs must be byte-identical");
     }
 }

@@ -33,6 +33,19 @@ pub fn render(rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Formats `n` with a comma between each group of three digits.
+pub fn group(n: u64) -> String {
+    let digits: Vec<char> = n.to_string().chars().rev().collect();
+    let mut out = String::new();
+    for (i, d) in digits.iter().enumerate() {
+        if i > 0 && i % 3 == 0 {
+            out.push(',');
+        }
+        out.push(*d);
+    }
+    out.chars().rev().collect()
+}
+
 /// Convenience: turns anything displayable into a row of strings.
 #[macro_export]
 macro_rules! row {

@@ -40,7 +40,8 @@ use lateral_crypto::Digest;
 use lateral_substrate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use lateral_substrate::attest::AttestationEvidence;
 use lateral_substrate::fabric::{
-    BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric, InvokeKindRule,
+    place_heap_memory, BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric,
+    InvokeKindRule,
 };
 use lateral_substrate::{DomainId, SubstrateError};
 use lateral_tpm::Tpm;
@@ -65,8 +66,6 @@ impl std::fmt::Debug for Flicker {
         write!(f, "Flicker({} PALs)", self.fabric.table().len())
     }
 }
-
-const PAGE: usize = 4096;
 
 impl Flicker {
     /// Initializes the substrate on a board identified by `seed` (the
@@ -138,10 +137,8 @@ impl BackendPolicy for Flicker {
     }
 
     fn place(&mut self, id: DomainId, _kind: DomainKind) -> Result<(), SubstrateError> {
-        let pages = self.fabric.table().get(id)?.spec.mem_pages.max(1);
-        debug_assert_eq!(id.0 as usize, self.memories.len());
-        self.memories.push(vec![0u8; pages * PAGE]);
-        Ok(())
+        let pages = self.fabric.table().get(id)?.spec.mem_pages;
+        place_heap_memory(&mut self.memories, id, pages)
     }
 
     fn unplace(&mut self, id: DomainId) {

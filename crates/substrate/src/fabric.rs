@@ -1133,6 +1133,41 @@ pub trait BackendPolicy {
     fn verifying_key(&self) -> Result<VerifyingKey, SubstrateError>;
 }
 
+/// Bytes in one page of heap domain memory.
+const PAGE: usize = 4096;
+
+/// [`BackendPolicy::place`] for a backend that keeps each domain's
+/// memory as one zeroed heap buffer indexed by domain id: appends the
+/// buffer for domain `id`, of `pages` pages (at least one, as on every
+/// backend), to `memories`.
+///
+/// # Errors
+///
+/// [`SubstrateError::OutOfResources`] when the byte size overflows or
+/// the allocator refuses it. An empty slot is appended even then: the
+/// engine consumes the id of a refused spawn, and the slots must stay
+/// aligned with the ids.
+pub fn place_heap_memory(
+    memories: &mut Vec<Vec<u8>>,
+    id: DomainId,
+    pages: usize,
+) -> Result<(), SubstrateError> {
+    // Ids are dense and never reused.
+    debug_assert_eq!(id.0 as usize, memories.len());
+    let mut mem = Vec::new();
+    let placed = match pages.max(1).checked_mul(PAGE) {
+        Some(bytes) if mem.try_reserve_exact(bytes).is_ok() => {
+            mem.resize(bytes, 0);
+            Ok(())
+        }
+        _ => Err(SubstrateError::OutOfResources(format!(
+            "no heap memory for {pages} pages"
+        ))),
+    };
+    memories.push(mem);
+    placed
+}
+
 /// Engine: creates a domain of placement `kind` — inserts the record,
 /// places it via the backend, charges the spawn cost, and runs
 /// `on_start` through the normal dispatch machinery (rolling everything

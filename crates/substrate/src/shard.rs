@@ -23,16 +23,11 @@
 //! one-shard fabric is byte-identical to running the inner substrate
 //! directly — pinned by a test below.
 //!
-//! For running shards on real OS threads, [`shard_channels`] builds
-//! bounded per-shard inboxes ([`ShardInbox`] / [`ShardPost`]) over
-//! `std::sync::mpsc`, so cross-shard calls become blocking bounded
-//! round trips: a sender waits while the target's inbox is full — no
-//! new dependencies. A single-threaded caller that wants to shed load
-//! instead bounds its own batches (as `apps::fleet` does per tick).
+//! The fabric runs on its caller's thread. A caller that wants to shed
+//! load bounds its own batches, as `apps::fleet` does per tick.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::mpsc;
 
 use lateral_crypto::sign::VerifyingKey;
 use lateral_crypto::Digest;
@@ -822,98 +817,6 @@ fn epoch_of(marks: &[u64], seq: u64) -> u64 {
     (marks.partition_point(|&w| w <= seq) - 1) as u64
 }
 
-/// One cross-shard invocation posted into a shard's bounded inbox.
-pub struct XShardCall {
-    /// Target domain, in the receiving shard's local id space.
-    pub target: DomainId,
-    /// Request payload.
-    pub payload: Vec<u8>,
-    /// One-shot reply channel back to the posting shard.
-    pub reply: mpsc::SyncSender<Result<Vec<u8>, SubstrateError>>,
-}
-
-/// The posting half of the bounded cross-shard inboxes: one clonable
-/// handle holding a bounded sender per shard. Posting into a full inbox
-/// blocks — bounded-queue backpressure, never unbounded buffering.
-#[derive(Clone)]
-pub struct ShardPost {
-    senders: Vec<mpsc::SyncSender<XShardCall>>,
-}
-
-impl ShardPost {
-    /// Number of shards this handle can post to.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Posts a call into shard `to`'s inbox and blocks for the reply —
-    /// the synchronous cross-shard round trip of a threaded shard
-    /// deployment.
-    ///
-    /// # Errors
-    ///
-    /// [`SubstrateError::Platform`] when the target shard's inbox has
-    /// shut down; otherwise whatever the remote dispatch returned.
-    pub fn call(
-        &self,
-        to: ShardId,
-        target: DomainId,
-        payload: Vec<u8>,
-    ) -> Result<Vec<u8>, SubstrateError> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        self.senders[to.0 as usize]
-            .send(XShardCall {
-                target,
-                payload,
-                reply: reply_tx,
-            })
-            .map_err(|_| SubstrateError::Platform(format!("{to} inbox is closed")))?;
-        reply_rx
-            .recv()
-            .map_err(|_| SubstrateError::Platform(format!("{to} dropped the reply")))?
-    }
-}
-
-/// The receiving half of one shard's bounded inbox, owned by the thread
-/// running that shard's engine.
-pub struct ShardInbox {
-    rx: mpsc::Receiver<XShardCall>,
-}
-
-impl ShardInbox {
-    /// Serves inbound calls through `dispatch` until every [`ShardPost`]
-    /// clone is dropped. Returns the number of calls served.
-    pub fn serve(
-        &self,
-        mut dispatch: impl FnMut(DomainId, &[u8]) -> Result<Vec<u8>, SubstrateError>,
-    ) -> usize {
-        let mut served = 0;
-        while let Ok(call) = self.rx.recv() {
-            let result = dispatch(call.target, &call.payload);
-            let _ = call.reply.send(result);
-            served += 1;
-        }
-        served
-    }
-}
-
-/// Builds the bounded inbox fabric for `shards` shard threads, each
-/// inbox holding at most `capacity` in-flight calls. Threads own their
-/// [`ShardInbox`]; every thread (and the coordinator) may hold a clone
-/// of the [`ShardPost`].
-#[must_use]
-pub fn shard_channels(shards: usize, capacity: usize) -> (Vec<ShardInbox>, ShardPost) {
-    let mut inboxes = Vec::with_capacity(shards);
-    let mut senders = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = mpsc::sync_channel(capacity);
-        senders.push(tx);
-        inboxes.push(ShardInbox { rx });
-    }
-    (inboxes, ShardPost { senders })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1160,35 +1063,5 @@ mod tests {
         assert!(caps.iter().all(|c| c.owner == client));
         fab.revoke_channel(&cross).unwrap();
         assert!(!fab.list_caps(client).unwrap().contains(&cross));
-    }
-
-    #[test]
-    fn bounded_inboxes_round_trip_across_threads() {
-        let (mut inboxes, post) = shard_channels(2, 4);
-        let inbox1 = inboxes.pop().unwrap();
-        let _inbox0 = inboxes.pop().unwrap();
-        let served = std::thread::scope(|scope| {
-            let server = scope.spawn(move || {
-                // Shard 1's thread: its own engine, its own domains.
-                let mut sub = SoftwareSubstrate::new("shard1");
-                let svc = sub.spawn(DomainSpec::named("svc"), Box::new(Echo)).unwrap();
-                let ingress = sub
-                    .spawn(DomainSpec::named("xshard-ingress"), Box::new(Echo))
-                    .unwrap();
-                let cap = sub.grant_channel(ingress, svc, Badge(1)).unwrap();
-                inbox1.serve(|_target, payload| sub.invoke(ingress, &cap, payload))
-            });
-            let client_post = post.clone();
-            let client = scope.spawn(move || {
-                for i in 0..8u8 {
-                    let reply = client_post.call(ShardId(1), DomainId(0), vec![i]).unwrap();
-                    assert_eq!(reply, vec![i]);
-                }
-            });
-            client.join().unwrap();
-            drop(post);
-            server.join().unwrap()
-        });
-        assert_eq!(served, 8);
     }
 }

@@ -26,11 +26,10 @@ use lateral_crypto::Digest;
 use crate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use crate::attest::AttestationEvidence;
 use crate::fabric::{
-    BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric, InvokeKindRule,
+    place_heap_memory, BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric,
+    InvokeKindRule,
 };
 use crate::{DomainId, SubstrateError};
-
-const PAGE: usize = 4096;
 
 /// The pure-software substrate.
 pub struct SoftwareSubstrate {
@@ -112,12 +111,8 @@ impl BackendPolicy for SoftwareSubstrate {
     }
 
     fn place(&mut self, id: DomainId, _kind: DomainKind) -> Result<(), SubstrateError> {
-        // At least one page, as on every other backend.
-        let pages = self.fabric.table().get(id)?.spec.mem_pages.max(1);
-        // Memory slots parallel the domain table; ids are never reused.
-        debug_assert_eq!(id.0 as usize, self.memories.len());
-        self.memories.push(vec![0u8; pages * PAGE]);
-        Ok(())
+        let pages = self.fabric.table().get(id)?.spec.mem_pages;
+        place_heap_memory(&mut self.memories, id, pages)
     }
 
     fn unplace(&mut self, id: DomainId) {

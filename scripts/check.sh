@@ -32,34 +32,12 @@ echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The behavioural contract. One release `repro all` must reproduce the
-# checked-in repro_output.txt byte for byte, apart from the lines tagged
-# "wall-clock" (single-shot throughput measurements) and "host-cores"
-# (E14's shard sweep tops out at the host core count). The file holds
-# every experiment's digests and verdict lines, E15's pinned 632f581d on
-# all six backends included, so a moved digest or count fails here; a
-# change that moves one regenerates repro_output.txt in its own diff.
-# repro writes BENCH_E14.json..BENCH_E17.json into its working
-# directory, so it runs in a temporary directory.
-root="$(pwd)"
-tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
+# checked-in repro_output.txt byte for byte (diff: < pinned, > got). The
+# file holds every experiment's digests, counts and verdict lines, E15's
+# pinned 632f581d on all six backends included, so a moved digest or
+# count fails here; a change that moves one regenerates repro_output.txt
+# in its own diff.
 echo "==> pinned output: repro all against repro_output.txt"
-(cd "$tmpdir" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
-    -p lateral-bench --bin repro -- all) > "$tmpdir/raw.txt"
-grep -vE "wall-clock|host-cores" "$tmpdir/raw.txt" > "$tmpdir/got.txt"
-grep -vE "wall-clock|host-cores" repro_output.txt > "$tmpdir/want.txt"
-if ! cmp -s "$tmpdir/want.txt" "$tmpdir/got.txt"; then
-    echo "repro all no longer matches repro_output.txt:" >&2
-    diff "$tmpdir/want.txt" "$tmpdir/got.txt" >&2 || true
-    exit 1
-fi
-# The timing lines are left out of the compare; each must still report.
-for phrase in "invocations/sec" "round trips/sec" "readings/sec" \
-    "proofs ingested/sec" "rounds/sec"; do
-    if ! grep -q "$phrase" "$tmpdir/raw.txt"; then
-        echo "repro all is missing its \"$phrase\" measurement" >&2
-        exit 1
-    fi
-done
+cargo run --release -q -p lateral-bench --bin repro -- all | diff repro_output.txt -
 
 echo "==> all checks passed"

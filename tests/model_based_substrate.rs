@@ -285,6 +285,26 @@ fn memory_bounds_agree_on_all_six() {
             ),
             "[{name}] a 0-page domain ends after its one page"
         );
+        // A page count whose byte size overflows, or that no allocator
+        // can grant, is refused with a typed error, and the domain
+        // spawned next still has working memory.
+        for pages in [usize::MAX / 4096 + 1, usize::MAX / 4096] {
+            assert!(
+                matches!(
+                    sub.spawn(
+                        DomainSpec::named("huge").with_mem_pages(pages),
+                        Box::new(Echo)
+                    ),
+                    Err(SubstrateError::OutOfResources(_))
+                ),
+                "[{name}] {pages} pages must be refused"
+            );
+            let next = sub
+                .spawn(DomainSpec::named(&format!("after-{pages}")), Box::new(Echo))
+                .unwrap();
+            sub.mem_write(next, 0, b"aligned").unwrap();
+            assert_eq!(sub.mem_read(next, 0, 7).unwrap(), b"aligned", "[{name}]");
+        }
     }
 }
 
