@@ -12,10 +12,11 @@
 //!
 //! * **Bounded ingest, explicit backpressure** — each tick, a utility
 //!   shard admits at most [`FleetConfig::inbox_capacity`] due readings,
-//!   encoded back to back into one buffer and aggregated as one
-//!   `invoke_batch` round; every reading past the bound is *shed* onto
-//!   a deterministic capped-doubling retry schedule (never silently
-//!   dropped), and shed load is counted (`fleet.ingest.shed`).
+//!   straight from the opened batch's bytes, and aggregates them in
+//!   `invoke_batch` rounds of at most 4096; every reading past the
+//!   bound is *shed* onto a deterministic capped-doubling retry
+//!   schedule (never silently dropped), and shed load is counted
+//!   (`fleet.ingest.shed`).
 //! * **Deterministic churn** — a [`ChurnPlan`] crashes an exact,
 //!   hash-selected fraction of the fleet at exact logical ticks and can
 //!   issue a mid-fleet firmware recall that revokes a digest in the
@@ -32,12 +33,21 @@
 //! * **Deadline-aware WAN retry** — concentrator batches ship with
 //!   [`send_with_backoff`]; silent loss classifies as the typed
 //!   [`lateral_net::NetError::Timeout`] inside `RetryExhausted`, and a
-//!   failed batch defers whole, to be re-sealed and retried.
+//!   failed batch defers whole, to be retransmitted byte-identically.
+//!
+//! A tick runs each shard lane's share on a thread of its own, since the
+//! shards share nothing inside a tick: churn, respawns and production
+//! run on the caller's thread; every lane seals its batch in parallel;
+//! the caller's thread ships every batch over the one WAN in lane
+//! order, so the network and its adversary see the same sequence on
+//! every run; then every lane opens, admits and aggregates in parallel
+//! on its own shard engine ([`ShardFabric::split_mut`]). Lane 0 runs on
+//! the caller's thread, each other lane on a scoped thread.
 //!
 //! Everything runs on the fleet's own logical clock — never a
 //! substrate clock — so the end-of-run [`FleetWorld::fleet_digest`] is
-//! identical across backends and across runs, which experiment E15
-//! gates.
+//! identical across backends, across runs and across thread
+//! interleavings, which experiment E15 gates.
 
 use std::collections::VecDeque;
 
@@ -55,7 +65,7 @@ use lateral_substrate::attest::{AttestationEvidence, TrustPolicy};
 use lateral_substrate::cap::{Badge, ChannelCap};
 use lateral_substrate::component::{Component, ComponentError, Invocation};
 use lateral_substrate::fault::{ChurnKind, ChurnPlan};
-use lateral_substrate::shard::{ShardFabric, ShardId};
+use lateral_substrate::shard::{ShardFabric, ShardId, ShardMut};
 use lateral_substrate::substrate::{DomainContext, DomainSpec, Substrate};
 use lateral_substrate::DomainId;
 use lateral_wot::{Proof, Rating, ReviewProof, TrustGraph, TrustProof};
@@ -139,6 +149,11 @@ pub struct FleetReading {
 
 const READING_BYTES: usize = 11;
 
+/// Readings per aggregation `invoke_batch` round. The engine charges and
+/// records every payload alike, so the split leaves the trace, clock and
+/// acks as one round would; it bounds the replies held at once.
+const AGGREGATE_BATCH: usize = 4096;
+
 impl FleetReading {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.meter.to_le_bytes());
@@ -197,7 +212,9 @@ pub struct FleetConfig {
     /// Simulated meters (stress configurations use ≥100_000).
     pub meters: u32,
     /// Utility-side aggregation shards (= substrates handed to
-    /// [`FleetWorld::new`]).
+    /// [`FleetWorld::new`]). Also the tick's thread count: each shard
+    /// lane's seal, open, admission and aggregation run on a thread of
+    /// their own, lane 0 on the caller's.
     pub shards: u32,
     /// Readings each shard admits per tick — the backpressure knob. Due
     /// readings past it are shed and retried on the backoff schedule.
@@ -252,8 +269,9 @@ pub struct FleetStats {
     pub wan_batches: u64,
     /// Extra WAN transmissions beyond the first attempt.
     pub wan_retransmissions: u64,
-    /// Batches whose schedule exhausted with a typed timeout (deferred
-    /// whole, re-sealed, retried later).
+    /// Failed WAN transmissions: the schedule exhausted, the network
+    /// refused the send, or no delivered copy authenticated. Each defers
+    /// its sealed batch whole, to be retransmitted byte-identically.
     pub wan_timeouts: u64,
     /// Duplicate WAN deliveries absorbed by the numbered receive window
     /// (a duplicating adversary or a retransmission race; each copy is
@@ -305,16 +323,54 @@ struct Pending {
     retry_at: u64,
 }
 
-/// A sealed batch whose WAN schedule exhausted. Retransmissions must be
+impl Pending {
+    /// Sheds the reading onto its next retry tick.
+    fn shed(mut self, t: u64, backoff: &BackoffSchedule) -> Pending {
+        self.attempt += 1;
+        self.retry_at = t + backoff.delay_before(self.attempt).max(1);
+        self
+    }
+}
+
+/// A sealed batch and the number of readings in it. One whose WAN
+/// transmission failed waits for its retry tick. Retransmissions must be
 /// **byte-identical** — `SecureChannel::open` treats a fresh (higher)
 /// sequence as a record-loss signal, so a deferred batch keeps its
 /// sealed bytes and goes out again verbatim.
 #[derive(Debug)]
 struct WanBatch {
     record: Vec<u8>,
-    readings: Vec<Pending>,
+    readings: usize,
     attempt: u32,
     retry_at: u64,
+}
+
+impl WanBatch {
+    /// Schedules the next byte-identical retransmission after a failed
+    /// one.
+    fn defer(mut self, t: u64, backoff: &BackoffSchedule) -> WanBatch {
+        self.attempt += 1;
+        self.retry_at = t + backoff.delay_before(self.attempt).max(1);
+        self
+    }
+}
+
+/// One lane's share of a tick, carried from phase to phase, and its
+/// counts, merged into [`FleetStats`] in lane order.
+#[derive(Default)]
+struct LaneTick {
+    /// The batch sealed this tick.
+    sealed: Option<WanBatch>,
+    /// Copies of the sealed batch that reached the utility inbox, in
+    /// arrival order; `None` when its transmission failed.
+    copies: Option<Vec<Vec<u8>>>,
+    /// Plaintexts opened this tick, in arrival order.
+    plaintexts: Vec<Vec<u8>>,
+    timeouts: u64,
+    duplicates: u64,
+    delivered: u64,
+    shed: u64,
+    acked: u64,
 }
 
 /// One utility shard's lane: its fabric endpoints, its WAN channel
@@ -328,11 +384,12 @@ struct ShardLane {
     down: SecureChannel,
     conc_addr: Addr,
     util_addr: Addr,
-    /// Readings waiting to be sealed into a WAN batch.
-    outbound: VecDeque<Pending>,
+    /// Readings waiting to be sealed into a WAN batch, encoded back to
+    /// back. Production fills it and every reading in it is due.
+    outbound: Vec<u8>,
     /// A sealed batch awaiting byte-identical retransmission.
     wan_pending: Option<WanBatch>,
-    /// Readings delivered but not yet admitted (new or shed).
+    /// Readings delivered and shed, waiting for their retry tick.
     deferred: VecDeque<Pending>,
     /// Last aggregator acknowledgment: (count, sum).
     last_ack: (u64, u64),
@@ -521,7 +578,7 @@ impl FleetWorld {
                 down,
                 conc_addr,
                 util_addr,
-                outbound: VecDeque::new(),
+                outbound: Vec::new(),
                 wan_pending: None,
                 deferred: VecDeque::new(),
                 last_ack: (0, 0),
@@ -589,9 +646,9 @@ impl FleetWorld {
         self.lanes
             .iter()
             .map(|l| {
-                l.outbound.len()
+                l.outbound.len() / READING_BYTES
                     + l.deferred.len()
-                    + l.wan_pending.as_ref().map_or(0, |b| b.readings.len())
+                    + l.wan_pending.as_ref().map_or(0, |b| b.readings)
             })
             .sum()
     }
@@ -621,8 +678,10 @@ impl FleetWorld {
         self.lanes.iter().map(|l| l.last_ack).collect()
     }
 
-    /// One fleet tick: churn → respawns → production → WAN shipping →
-    /// bounded admission and batched aggregation → epoch barrier.
+    /// One fleet tick: churn → respawns → production → sealing → WAN
+    /// shipping → opening, bounded admission and batched aggregation →
+    /// epoch barrier. Sealing and the ingest phase run one thread per
+    /// shard lane; the rest runs on the caller's thread.
     pub fn tick(&mut self) {
         let t = self.round;
         self.apply_churn(t);
@@ -630,9 +689,31 @@ impl FleetWorld {
         if t < self.config.rounds {
             self.produce(t);
         }
-        for s in 0..self.lanes.len() {
-            self.ship_lane(s, t);
-            self.ingest_lane(s, t);
+        let mut ticks: Vec<LaneTick> = self.lanes.iter().map(|_| LaneTick::default()).collect();
+        // A lane with a deferred batch seals nothing yet: a seal the
+        // lane might not ship this tick would leave a sequence gap.
+        fork_join(self.lanes.iter_mut().zip(&mut ticks), |(lane, tick)| {
+            if lane.wan_pending.is_none() {
+                tick.sealed = lane.seal(t);
+            }
+        });
+        for (s, tick) in ticks.iter_mut().enumerate() {
+            self.ship_lane(s, tick, t);
+        }
+        let (backoff, capacity) = (&self.config.backoff, self.config.inbox_capacity);
+        fork_join(
+            self.lanes
+                .iter_mut()
+                .zip(&mut ticks)
+                .zip(self.fab.split_mut()),
+            |((lane, tick), shard)| lane.ingest(tick, shard, backoff, capacity, t),
+        );
+        for tick in &ticks {
+            self.stats.wan_timeouts += tick.timeouts;
+            self.stats.wan_duplicates += tick.duplicates;
+            self.stats.delivered += tick.delivered;
+            self.stats.shed += tick.shed;
+            self.stats.acked += tick.acked;
         }
         self.fab.advance_epoch();
         self.round += 1;
@@ -848,204 +929,227 @@ impl FleetWorld {
                 };
                 self.stats.produced += 1;
                 self.stats.produced_wh += u64::from(wh);
-                self.lanes[(id % shards) as usize]
-                    .outbound
-                    .push_back(Pending {
-                        reading,
-                        attempt: 0,
-                        retry_at: t,
-                    });
+                reading.encode_into(&mut self.lanes[(id % shards) as usize].outbound);
             }
         }
     }
 
     /// Ships one lane's traffic over the WAN with deadline-aware capped
-    /// backoff. A previously deferred sealed batch goes out first —
-    /// retransmitted **byte-identical** so the receive window stays
-    /// coherent; only once the lane is clear is the next due batch
-    /// sealed. An exhausted schedule (typed timeout) defers the batch;
-    /// it is never dropped.
-    fn ship_lane(&mut self, s: usize, t: u64) {
+    /// backoff, on the caller's thread. A previously deferred sealed
+    /// batch goes out first — retransmitted **byte-identical** so the
+    /// receive window stays coherent — and is opened here; only once the
+    /// lane is clear is the next batch sealed. Then the lane's sealed
+    /// batch goes out, and the copies that arrive wait for the lane's
+    /// parallel ingest to open them. A failed batch is deferred, never
+    /// dropped.
+    fn ship_lane(&mut self, s: usize, tick: &mut LaneTick, t: u64) {
         // Leg 1: retransmit a deferred sealed batch, if one is due.
         if let Some(batch) = self.lanes[s].wan_pending.take() {
             if batch.retry_at > t {
                 self.lanes[s].wan_pending = Some(batch);
                 return;
             }
-            match self.transmit(s, &batch.record) {
-                Some(plain) => self.accept_batch(s, &plain, t),
-                None => {
-                    let lane = &mut self.lanes[s];
-                    lane.wan_pending = Some(WanBatch {
-                        retry_at: t + self.config.backoff.delay_before(batch.attempt + 1).max(1),
-                        attempt: batch.attempt + 1,
-                        ..batch
-                    });
-                    return;
-                }
+            let copies = self.transmit(s, &batch.record);
+            let lane = &mut self.lanes[s];
+            if !copies.is_some_and(|copies| lane.receive(&copies, tick)) {
+                lane.wan_pending = Some(batch.defer(t, &self.config.backoff));
+                return;
             }
+            tick.sealed = lane.seal(t);
         }
-        // Leg 2: seal and ship the next batch of due readings.
-        let lane = &mut self.lanes[s];
-        let mut due = Vec::new();
-        let mut rest = VecDeque::new();
-        for p in lane.outbound.drain(..) {
-            if p.retry_at <= t {
-                due.push(p);
-            } else {
-                rest.push_back(p);
-            }
-        }
-        lane.outbound = rest;
-        if due.is_empty() {
-            return;
-        }
-        let mut batch = Vec::with_capacity(due.len() * READING_BYTES);
-        for p in &due {
-            p.reading.encode_into(&mut batch);
-        }
-        let record = lane.up.seal(&batch);
-        self.stats.wan_batches += 1;
-        match self.transmit(s, &record) {
-            Some(plain) => self.accept_batch(s, &plain, t),
-            None => {
-                self.lanes[s].wan_pending = Some(WanBatch {
-                    record,
-                    readings: due,
-                    attempt: 1,
-                    retry_at: t + self.config.backoff.delay_before(1).max(1),
-                });
-            }
+        // Leg 2: ship the lane's sealed batch.
+        if let Some(batch) = &tick.sealed {
+            self.stats.wan_batches += 1;
+            tick.copies = self.transmit(s, &batch.record);
         }
     }
 
-    /// One `send_with_backoff` round for a sealed record: returns the
-    /// opened plaintext on delivery, `None` when the schedule exhausted
-    /// or nothing arrived intact (classified and counted as a typed
-    /// timeout).
-    fn transmit(&mut self, s: usize, record: &[u8]) -> Option<Vec<u8>> {
-        let lane = &mut self.lanes[s];
-        let mut clock = self.wan_clock;
+    /// One `send_with_backoff` round for a sealed record: every copy
+    /// delivered to the lane's utility inbox, in arrival order, or
+    /// `None` when the transmission failed.
+    fn transmit(&mut self, s: usize, record: &[u8]) -> Option<Vec<Vec<u8>>> {
+        let lane = &self.lanes[s];
         let sent = send_with_backoff(
             &mut self.network,
             &lane.conc_addr,
             &lane.util_addr,
             record,
             &self.config.backoff,
-            &mut clock,
+            &mut self.wan_clock,
         );
-        self.wan_clock = clock;
         match sent {
             Ok(attempts) => {
                 self.stats.wan_retransmissions += u64::from(attempts.saturating_sub(1));
                 // Drain EVERY delivered copy: a duplicating adversary
                 // (or a retransmission race) can land the same record
-                // several times in one round. The channel opens the
-                // fresh copy once and reports each replay as a typed
-                // `Duplicate`; treating a leftover duplicate as a fresh
-                // ack — or leaving it to poison the next round's inbox —
-                // was the bug this loop fixes. A copy that fails to
-                // authenticate was corrupted in flight: it is skipped as
-                // loss, and the window stays where it was for the
-                // byte-identical retransmission.
-                let mut plain = None;
+                // several times in one round, and a leftover copy would
+                // poison the next round's inbox.
+                let mut copies = Vec::new();
                 while let Some(p) = self
                     .network
                     .recv(&lane.util_addr)
                     .expect("utility endpoint is registered")
                 {
-                    match lane.down.open(&p.payload) {
-                        Ok(fresh) => {
-                            debug_assert!(plain.is_none(), "one record per transmit");
-                            plain = Some(fresh);
-                        }
-                        Err(NetError::Duplicate(_)) => self.stats.wan_duplicates += 1,
-                        Err(_) => {}
-                    }
+                    copies.push(p.payload);
                 }
-                if plain.is_none() {
-                    // Delivered per the network's ledger but nothing
-                    // arrived intact — treat as loss and let the caller
-                    // defer.
-                    self.stats.wan_timeouts += 1;
-                }
-                plain
+                Some(copies)
             }
-            Err(NetError::RetryExhausted { last_err, .. }) => {
-                if matches!(*last_err, NetError::Timeout(_)) {
-                    self.stats.wan_timeouts += 1;
-                }
-                None
-            }
-            // Any other WAN failure is loss too: the caller defers the
-            // batch and retransmits it.
+            // Every failed transmission is loss — an exhausted schedule
+            // (typed timeout) or a send the network refused: the caller
+            // defers the batch and retransmits it.
             Err(_) => {
                 self.stats.wan_timeouts += 1;
                 None
             }
         }
     }
+}
 
-    /// Hands a delivered batch's readings to the ingest stage.
-    fn accept_batch(&mut self, s: usize, plain: &[u8], t: u64) {
-        let lane = &mut self.lanes[s];
-        for chunk in plain.chunks(READING_BYTES) {
-            let reading = FleetReading::decode(chunk).expect("sealed batch is well-formed");
-            self.stats.delivered += 1;
-            lane.deferred.push_back(Pending {
-                reading,
-                attempt: 0,
-                retry_at: t,
-            });
+impl ShardLane {
+    /// Seals every outbound reading into one WAN batch, if there are
+    /// any.
+    fn seal(&mut self, t: u64) -> Option<WanBatch> {
+        if self.outbound.is_empty() {
+            return None;
         }
+        let body = std::mem::take(&mut self.outbound);
+        Some(WanBatch {
+            record: self.up.seal(&body),
+            readings: body.len() / READING_BYTES,
+            attempt: 0,
+            retry_at: t,
+        })
     }
 
-    /// Admits up to `inbox_capacity` due delivered readings, in arrival
-    /// order, and aggregates them as one `invoke_batch` round on the
-    /// shard's engine. The rest are shed onto their deterministic retry
-    /// schedule — counted, never dropped.
-    fn ingest_lane(&mut self, s: usize, t: u64) {
-        let lane = &mut self.lanes[s];
-        let bound = self.config.inbox_capacity * READING_BYTES;
-        let mut admitted = Vec::with_capacity(bound.min(lane.deferred.len() * READING_BYTES));
-        let mut shed_now = 0u64;
+    /// Opens the copies of one sealed record that reached the utility
+    /// inbox, in arrival order, and returns whether the record landed.
+    /// The channel opens the fresh copy once and reports each replay as
+    /// a typed `Duplicate`, counted and never double-ingested. A copy
+    /// that fails to authenticate was corrupted in flight: it is skipped
+    /// as loss, and the window stays where it was for the byte-identical
+    /// retransmission. Nothing intact is counted as a failed
+    /// transmission.
+    fn receive(&mut self, copies: &[Vec<u8>], tick: &mut LaneTick) -> bool {
+        let mut landed = false;
+        for copy in copies {
+            match self.down.open(copy) {
+                Ok(plain) => {
+                    debug_assert!(!landed, "one record per transmit");
+                    assert!(
+                        plain.len().is_multiple_of(READING_BYTES),
+                        "sealed batch is well-formed"
+                    );
+                    tick.delivered += (plain.len() / READING_BYTES) as u64;
+                    tick.plaintexts.push(plain);
+                    landed = true;
+                }
+                Err(NetError::Duplicate(_)) => tick.duplicates += 1,
+                Err(_) => {}
+            }
+        }
+        if !landed {
+            tick.timeouts += 1;
+        }
+        landed
+    }
+
+    /// The lane's parallel ingest: opens this tick's shipped batch
+    /// (deferring it whole if nothing intact arrived), admits up to
+    /// `capacity` due readings — deferred ones first, then this tick's
+    /// in arrival order, read in place from the opened bytes — and
+    /// aggregates them on the lane's shard engine. The rest are shed
+    /// onto their deterministic retry schedule — counted, never dropped.
+    fn ingest(
+        &mut self,
+        tick: &mut LaneTick,
+        mut shard: ShardMut<'_>,
+        backoff: &BackoffSchedule,
+        capacity: usize,
+        t: u64,
+    ) {
+        if let Some(batch) = tick.sealed.take() {
+            let copies = tick.copies.take();
+            if !copies.is_some_and(|copies| self.receive(&copies, tick)) {
+                self.wan_pending = Some(batch.defer(t, backoff));
+            }
+        }
+        let mut older = Vec::new();
         let mut still_deferred = VecDeque::new();
-        for mut p in lane.deferred.drain(..) {
+        for p in self.deferred.drain(..) {
             if p.retry_at > t {
                 still_deferred.push_back(p);
-            } else if admitted.len() < bound {
-                p.reading.encode_into(&mut admitted);
+            } else if older.len() < capacity * READING_BYTES {
+                p.reading.encode_into(&mut older);
             } else {
-                shed_now += 1;
-                p.attempt += 1;
-                p.retry_at = t + self.config.backoff.delay_before(p.attempt).max(1);
-                still_deferred.push_back(p);
+                tick.shed += 1;
+                still_deferred.push_back(p.shed(t, backoff));
             }
         }
-        lane.deferred = still_deferred;
-        if shed_now > 0 {
-            self.stats.shed += shed_now;
-            if let Some(tel) = self.fab.shard_mut(ShardId(s as u32)).telemetry_mut_ref() {
-                tel.metrics_mut().incr("fleet.ingest.shed", shed_now);
+        let plaintexts = std::mem::take(&mut tick.plaintexts);
+        let fresh = plaintexts
+            .iter()
+            .flat_map(|plain| plain.chunks_exact(READING_BYTES));
+        let room = capacity - older.len() / READING_BYTES;
+        // One exact allocation for the readings shed below: a burst
+        // sheds most of a round, and doubling would overshoot.
+        still_deferred.reserve_exact((tick.delivered as usize).saturating_sub(room));
+        for chunk in fresh.clone().skip(room) {
+            let p = Pending {
+                reading: FleetReading::decode(chunk).expect("chunk is one reading"),
+                attempt: 0,
+                retry_at: t,
+            };
+            tick.shed += 1;
+            still_deferred.push_back(p.shed(t, backoff));
+        }
+        self.deferred = still_deferred;
+        if tick.shed > 0 {
+            if let Some(tel) = shard.telemetry_mut() {
+                tel.metrics_mut().incr("fleet.ingest.shed", tick.shed);
             }
         }
-        if admitted.is_empty() {
-            return;
-        }
-        let views: Vec<&[u8]> = admitted.chunks_exact(READING_BYTES).collect();
-        let replies = self
-            .fab
-            .invoke_batch(lane.env, &lane.cap, &views)
-            .expect("aggregation batch");
-        for ack in &replies {
+        let mut admitted = older
+            .chunks_exact(READING_BYTES)
+            .chain(fresh.take(room))
+            .peekable();
+        while admitted.peek().is_some() {
+            let batch: Vec<&[u8]> = admitted.by_ref().take(AGGREGATE_BATCH).collect();
+            let replies = shard
+                .invoke_batch(self.env, &self.cap, &batch)
+                .expect("aggregation batch");
+            let ack = replies.last().expect("one ack per reading");
             assert_eq!(ack.len(), 16, "aggregator acks are (count, sum)");
-            lane.last_ack = (
+            self.last_ack = (
                 u64::from_le_bytes(ack[0..8].try_into().expect("length checked")),
                 u64::from_le_bytes(ack[8..16].try_into().expect("length checked")),
             );
+            tick.acked += replies.len() as u64;
         }
-        self.stats.acked += replies.len() as u64;
     }
+}
+
+/// Runs `work` on every item: the first on the calling thread, each
+/// other on a scoped thread of its own. Every thread is joined; a
+/// thread's panic is then re-raised with its own payload.
+fn fork_join<T: Send>(items: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return;
+    };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let others: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        work(first);
+        let mut panicked = None;
+        for handle in others {
+            if let Err(payload) = handle.join() {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -1060,6 +1164,13 @@ mod tests {
         (0..shards)
             .map(|_| Box::new(SoftwareSubstrate::new("fleet-test")) as Box<dyn Substrate>)
             .collect()
+    }
+
+    /// Asserts a finished run's stats and digest against values
+    /// computed with the one-thread tick, before lanes ran on threads.
+    fn pinned(world: &FleetWorld, stats: FleetStats, digest: &str) {
+        assert_eq!(*world.stats(), stats);
+        assert_eq!(world.fleet_digest().to_hex(), digest);
     }
 
     fn conservation(world: &FleetWorld) {
@@ -1120,6 +1231,19 @@ mod tests {
             "the burst produced duplicates and each was absorbed"
         );
         conservation(&world);
+        pinned(
+            &world,
+            FleetStats {
+                produced: 1440,
+                produced_wh: 1_656_000,
+                wan_batches: 12,
+                wan_duplicates: 36,
+                delivered: 1440,
+                acked: 1440,
+                ..FleetStats::default()
+            },
+            "e5cbf38bd59d83df5d954dd2604efcb28e300d718cb17c4545fd8eac71d6276b",
+        );
 
         // Run-twice determinism survives the duplicating adversary.
         let mut again = FleetWorld::new(software_pool(2), config);
@@ -1255,6 +1379,22 @@ mod tests {
         let stats = world.run();
         assert_eq!(stats.acked, stats.produced, "outage deferred, never lost");
         conservation(&world);
+        pinned(
+            &world,
+            FleetStats {
+                produced: 1440,
+                produced_wh: 1_656_000,
+                wan_batches: 8,
+                wan_retransmissions: 1,
+                wan_timeouts: 4,
+                delivered: 1440,
+                shed: 2160,
+                acked: 1440,
+                drain_ticks: 5,
+                ..FleetStats::default()
+            },
+            "601a666f2e29d9c2495f49c8ad34575ab03fed67113636b95f7c103c0b6182ce",
+        );
     }
 
     #[test]
@@ -1275,6 +1415,116 @@ mod tests {
             "corruption deferred, never lost"
         );
         conservation(&world);
+        pinned(
+            &world,
+            FleetStats {
+                produced: 1440,
+                produced_wh: 1_656_000,
+                wan_batches: 12,
+                wan_retransmissions: 2,
+                wan_timeouts: 2,
+                delivered: 1440,
+                shed: 1200,
+                acked: 1440,
+                drain_ticks: 1,
+                ..FleetStats::default()
+            },
+            "3f2ab29f41e6d644d61207a49763b50d25e4b715eae40479d9136794a8b8b180",
+        );
+    }
+
+    #[test]
+    fn refused_wan_send_is_counted_loss() {
+        // The adversary redirects shard 0's batches to an address the
+        // network does not know, so the send itself fails. That is loss
+        // like a timeout: counted, deferred, and retransmitted once the
+        // WAN heals.
+        let mut world = FleetWorld::new(software_pool(2), FleetConfig::default());
+        world.network.set_attack(AttackMode::Redirect {
+            victim: Addr::new("fleet-shard-0.utility.example"),
+            attacker: Addr::new("unregistered.example"),
+        });
+        world.tick();
+        assert_eq!(world.pending(), 120, "shard 0's batch is deferred");
+        assert_eq!(world.stats().wan_timeouts, 1, "the refused send is loss");
+        world.network.set_attack(AttackMode::DropEvery(7));
+        let stats = world.run();
+        assert_eq!(stats.acked, stats.produced, "refusal deferred, never lost");
+        conservation(&world);
+    }
+
+    #[test]
+    fn adversary_outcomes_are_pinned() {
+        // Each case runs to the end and must reproduce the stats and
+        // digest of the single-threaded tick: the replaying adversary
+        // exercises the parallel open, the outage window the serial
+        // retransmission leg, and the three-shard fleet runs more lanes
+        // than a two-core host has cores.
+        let three_shards = FleetConfig {
+            shards: 3,
+            rounds: 8,
+            burst_round: Some(2),
+            churn: ChurnPlan::new()
+                .with(ChurnEvent::crash_fraction(3, 100_000))
+                .with(ChurnEvent::recall(5, FLEET_FW_V2_NAME)),
+            ..FleetConfig::default()
+        };
+        let calm = FleetStats {
+            produced: 1440,
+            produced_wh: 1_656_000,
+            wan_batches: 12,
+            delivered: 1440,
+            acked: 1440,
+            ..FleetStats::default()
+        };
+        let cases = [
+            (
+                FleetConfig::default(),
+                AttackMode::ReplayAll,
+                FleetStats {
+                    wan_duplicates: 12,
+                    ..calm
+                },
+                "7e212df027c14388248fdf428e1b9324e0949e44f9e9feaf23b023b5092e7795",
+            ),
+            (
+                FleetConfig::default(),
+                AttackMode::DropFirst(5),
+                FleetStats {
+                    wan_retransmissions: 1,
+                    wan_timeouts: 1,
+                    shed: 600,
+                    drain_ticks: 1,
+                    ..calm
+                },
+                "82a606d75f720668a1ede7275216b086faa340e6065a3c6a7b40a117eab27e46",
+            ),
+            (
+                three_shards,
+                AttackMode::DropEvery(7),
+                FleetStats {
+                    produced: 1938,
+                    produced_wh: 2_229_350,
+                    wan_batches: 24,
+                    wan_retransmissions: 3,
+                    delivered: 1938,
+                    shed: 120,
+                    acked: 1938,
+                    crashes: 21,
+                    respawns: 17,
+                    quarantined_by_recall: 60,
+                    ..FleetStats::default()
+                },
+                "25a776ab3cd23f0038c3ef95cfe45787f62209faef2f2c7c0a00a761cb3cabc6",
+            ),
+        ];
+        for (config, attack, stats, digest) in cases {
+            let mut world = FleetWorld::new(software_pool(config.shards), config);
+            world.network.set_attack(attack);
+            world.run();
+            conservation(&world);
+            pinned(&world, stats, digest);
+        }
     }
 
     #[test]
@@ -1381,6 +1631,18 @@ mod tests {
             }
         }
         assert!(filled > 0, "the backlog filled a shard's bound");
+    }
+
+    #[test]
+    fn a_lane_panic_is_re_raised_with_its_own_message() {
+        let caught = std::panic::catch_unwind(|| {
+            fork_join(0..3, |lane| assert!(lane != 2, "lane {lane} failed"));
+        });
+        let payload = caught.expect_err("lane 2 panicked");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("lane 2 failed")
+        );
     }
 
     #[test]

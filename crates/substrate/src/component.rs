@@ -46,8 +46,9 @@ pub struct Invocation<'a> {
 /// A trusted component: the unit of horizontal application design.
 ///
 /// Implementations must be substrate-agnostic — everything they need
-/// comes through the [`DomainContext`].
-pub trait Component {
+/// comes through the [`DomainContext`]. They are `Send`, so the engine
+/// hosting them can run on another thread than the one that built it.
+pub trait Component: Send {
     /// Short stable label (used in logs, manifests, and measurements).
     fn label(&self) -> &str;
 
@@ -105,7 +106,7 @@ where
 
 impl<F> Component for FnComponent<F>
 where
-    F: FnMut(&mut dyn DomainContext, Invocation<'_>) -> Result<Vec<u8>, ComponentError>,
+    F: FnMut(&mut dyn DomainContext, Invocation<'_>) -> Result<Vec<u8>, ComponentError> + Send,
 {
     fn label(&self) -> &str {
         &self.label

@@ -990,7 +990,7 @@ impl Fabric {
 /// Hook names differ from the [`Substrate`] methods they serve
 /// (`clock` for `now`, `read_mem` for `mem_read`, …), so a call site
 /// with both traits in scope is never ambiguous.
-pub trait BackendPolicy {
+pub trait BackendPolicy: Send {
     /// The backend's self-description, served as [`Substrate::profile`].
     fn backend_profile(&self) -> &SubstrateProfile;
 

@@ -23,8 +23,12 @@
 //! one-shard fabric is byte-identical to running the inner substrate
 //! directly — pinned by a test below.
 //!
-//! The fabric runs on its caller's thread. A caller that wants to shed
-//! load bounds its own batches, as `apps::fleet` does per tick.
+//! The fabric itself runs on its caller's thread.
+//! [`ShardFabric::split_mut`] hands out one [`ShardMut`] per shard, so a
+//! caller can drive each shard's engine from a thread of its own:
+//! `apps::fleet` runs each shard lane's share of a tick that way, and
+//! bounds its own batches to shed load. The merge above makes the
+//! result independent of how those threads interleave.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -334,11 +338,25 @@ impl ShardFabric {
     }
 
     fn route(&self, id: DomainId) -> Result<Route, SubstrateError> {
-        self.routes
-            .get(id.0 as usize)
-            .copied()
-            .flatten()
-            .ok_or(SubstrateError::NoSuchDomain(id))
+        route_in(&self.routes, id)
+    }
+
+    /// One exclusive handle per shard, in shard order, each holding
+    /// that shard's engine and a shared view of the route table — so
+    /// the shards' intra-shard work can run on threads of their own.
+    /// Ids and capabilities stay global: a handle routes them exactly
+    /// as [`ShardFabric::invoke_batch`] does.
+    pub fn split_mut(&mut self) -> Vec<ShardMut<'_>> {
+        let routes = &self.routes;
+        self.shards
+            .iter_mut()
+            .enumerate()
+            .map(|(s, engine)| ShardMut {
+                shard: s as u32,
+                engine: engine.as_mut(),
+                routes,
+            })
+            .collect()
     }
 
     /// Deterministic placement: pin, then sticky name, then round-robin
@@ -368,26 +386,6 @@ impl ShardFabric {
             .spawn(DomainSpec::named("xshard-ingress"), Box::new(Echo))?;
         self.ingress[shard as usize] = Some(id);
         Ok(id)
-    }
-
-    /// Reverse route lookup: the global id of shard-local `local`.
-    fn global_of(&self, shard: u32, local: DomainId) -> Option<DomainId> {
-        self.routes.iter().enumerate().find_map(|(i, r)| {
-            r.filter(|r| r.shard == shard && r.local == local)
-                .map(|_| DomainId(i as u32))
-        })
-    }
-
-    /// Maps shard-local domain ids inside an engine error back into the
-    /// global id space (identity for N=1, where the spaces coincide).
-    fn globalize(&self, shard: u32, e: SubstrateError) -> SubstrateError {
-        let map = |l: DomainId| self.global_of(shard, l).unwrap_or(l);
-        match e {
-            SubstrateError::NoSuchDomain(d) => SubstrateError::NoSuchDomain(map(d)),
-            SubstrateError::Reentrancy(d) => SubstrateError::Reentrancy(map(d)),
-            SubstrateError::DomainCrashed(d) => SubstrateError::DomainCrashed(map(d)),
-            other => other,
-        }
     }
 
     fn note_denial_on(&mut self, r: Route) {
@@ -546,7 +544,7 @@ impl Substrate for ShardFabric {
         let name = spec.name.clone();
         let local = self.shards[shard as usize]
             .spawn(spec, component)
-            .map_err(|e| self.globalize(shard, e))?;
+            .map_err(|e| globalize(&self.routes, shard, e))?;
         self.by_name.insert(name, shard);
         let gid = DomainId(self.routes.len() as u32);
         self.routes.push(Some(Route { shard, local }));
@@ -557,7 +555,7 @@ impl Substrate for ShardFabric {
         let r = self.route(domain)?;
         self.shards[r.shard as usize]
             .destroy(r.local)
-            .map_err(|e| self.globalize(r.shard, e))?;
+            .map_err(|e| globalize(&self.routes, r.shard, e))?;
         self.routes[domain.0 as usize] = None;
         for g in &mut self.xgrants {
             if g.from == domain || g.to == domain {
@@ -578,7 +576,7 @@ impl Substrate for ShardFabric {
         if rf.shard == rt.shard {
             let cap = self.shards[rf.shard as usize]
                 .grant_channel(rf.local, rt.local, badge)
-                .map_err(|e| self.globalize(rf.shard, e))?;
+                .map_err(|e| globalize(&self.routes, rf.shard, e))?;
             return Ok(ChannelCap {
                 owner: from,
                 slot: cap.slot,
@@ -588,7 +586,7 @@ impl Substrate for ShardFabric {
         let ingress = self.ingress_domain(rt.shard)?;
         let inner = self.shards[rt.shard as usize]
             .grant_channel(ingress, rt.local, badge)
-            .map_err(|e| self.globalize(rt.shard, e))?;
+            .map_err(|e| globalize(&self.routes, rt.shard, e))?;
         let to_name = self.shards[rt.shard as usize]
             .domain_name(rt.local)
             .unwrap_or_else(|_| to.to_string());
@@ -637,7 +635,7 @@ impl Substrate for ShardFabric {
         };
         self.shards[r.shard as usize]
             .revoke_channel(&inner)
-            .map_err(|e| self.globalize(r.shard, e))
+            .map_err(|e| globalize(&self.routes, r.shard, e))
     }
 
     fn invoke(
@@ -655,7 +653,7 @@ impl Substrate for ShardFabric {
             };
             return self.shards[r.shard as usize]
                 .invoke(r.local, &inner, data)
-                .map_err(|e| self.globalize(r.shard, e));
+                .map_err(|e| globalize(&self.routes, r.shard, e));
         }
         self.invoke_cross(r, caller, cap, data)
     }
@@ -668,14 +666,13 @@ impl Substrate for ShardFabric {
     ) -> Result<Vec<Vec<u8>>, SubstrateError> {
         let r = self.route(caller)?;
         if cap.slot < XSHARD_SLOT_BASE {
-            let inner = ChannelCap {
-                owner: r.local,
-                slot: cap.slot,
-                nonce: cap.nonce,
-            };
-            return self.shards[r.shard as usize]
-                .invoke_batch(r.local, &inner, payloads)
-                .map_err(|e| self.globalize(r.shard, e));
+            return invoke_batch_intra(
+                self.shards[r.shard as usize].as_mut(),
+                &self.routes,
+                r,
+                cap,
+                payloads,
+            );
         }
         payloads
             .iter()
@@ -687,28 +684,28 @@ impl Substrate for ShardFabric {
         let r = self.route(domain)?;
         self.shards[r.shard as usize]
             .measurement(r.local)
-            .map_err(|e| self.globalize(r.shard, e))
+            .map_err(|e| globalize(&self.routes, r.shard, e))
     }
 
     fn domain_name(&self, domain: DomainId) -> Result<String, SubstrateError> {
         let r = self.route(domain)?;
         self.shards[r.shard as usize]
             .domain_name(r.local)
-            .map_err(|e| self.globalize(r.shard, e))
+            .map_err(|e| globalize(&self.routes, r.shard, e))
     }
 
     fn seal(&mut self, domain: DomainId, data: &[u8]) -> Result<Vec<u8>, SubstrateError> {
         let r = self.route(domain)?;
         self.shards[r.shard as usize]
             .seal(r.local, data)
-            .map_err(|e| self.globalize(r.shard, e))
+            .map_err(|e| globalize(&self.routes, r.shard, e))
     }
 
     fn unseal(&mut self, domain: DomainId, sealed: &[u8]) -> Result<Vec<u8>, SubstrateError> {
         let r = self.route(domain)?;
         self.shards[r.shard as usize]
             .unseal(r.local, sealed)
-            .map_err(|e| self.globalize(r.shard, e))
+            .map_err(|e| globalize(&self.routes, r.shard, e))
     }
 
     fn attest(
@@ -719,7 +716,7 @@ impl Substrate for ShardFabric {
         let r = self.route(domain)?;
         self.shards[r.shard as usize]
             .attest(r.local, report_data)
-            .map_err(|e| self.globalize(r.shard, e))
+            .map_err(|e| globalize(&self.routes, r.shard, e))
     }
 
     fn platform_verifying_key(&self) -> Result<VerifyingKey, SubstrateError> {
@@ -735,7 +732,7 @@ impl Substrate for ShardFabric {
         let r = self.route(domain)?;
         self.shards[r.shard as usize]
             .mem_read(r.local, offset, len)
-            .map_err(|e| self.globalize(r.shard, e))
+            .map_err(|e| globalize(&self.routes, r.shard, e))
     }
 
     fn mem_write(
@@ -747,7 +744,7 @@ impl Substrate for ShardFabric {
         let r = self.route(domain)?;
         self.shards[r.shard as usize]
             .mem_write(r.local, offset, data)
-            .map_err(|e| self.globalize(r.shard, e))
+            .map_err(|e| globalize(&self.routes, r.shard, e))
     }
 
     fn rng_u64(&mut self, domain: DomainId) -> u64 {
@@ -769,7 +766,7 @@ impl Substrate for ShardFabric {
         let r = self.route(domain)?;
         let mut caps: Vec<ChannelCap> = self.shards[r.shard as usize]
             .list_caps(r.local)
-            .map_err(|e| self.globalize(r.shard, e))?
+            .map_err(|e| globalize(&self.routes, r.shard, e))?
             .into_iter()
             .map(|c| ChannelCap {
                 owner: domain,
@@ -815,6 +812,101 @@ impl Substrate for ShardFabric {
 /// (`marks[e]` = first sequence number of epoch `e`; `marks[0]` = 0).
 fn epoch_of(marks: &[u64], seq: u64) -> u64 {
     (marks.partition_point(|&w| w <= seq) - 1) as u64
+}
+
+fn route_in(routes: &[Option<Route>], id: DomainId) -> Result<Route, SubstrateError> {
+    routes
+        .get(id.0 as usize)
+        .copied()
+        .flatten()
+        .ok_or(SubstrateError::NoSuchDomain(id))
+}
+
+/// Maps shard-local domain ids inside an engine error back into the
+/// global id space (identity for N=1, where the spaces coincide).
+fn globalize(routes: &[Option<Route>], shard: u32, e: SubstrateError) -> SubstrateError {
+    let map = |l: DomainId| {
+        routes
+            .iter()
+            .position(|r| r.is_some_and(|r| r.shard == shard && r.local == l))
+            .map_or(l, |i| DomainId(i as u32))
+    };
+    match e {
+        SubstrateError::NoSuchDomain(d) => SubstrateError::NoSuchDomain(map(d)),
+        SubstrateError::Reentrancy(d) => SubstrateError::Reentrancy(map(d)),
+        SubstrateError::DomainCrashed(d) => SubstrateError::DomainCrashed(map(d)),
+        other => other,
+    }
+}
+
+/// The intra-shard batch path of [`ShardFabric::invoke_batch`] and
+/// [`ShardMut::invoke_batch`]: the caller's global route and cap become
+/// the shard engine's own, and error ids come back global.
+fn invoke_batch_intra(
+    engine: &mut dyn Substrate,
+    routes: &[Option<Route>],
+    r: Route,
+    cap: &ChannelCap,
+    payloads: &[&[u8]],
+) -> Result<Vec<Vec<u8>>, SubstrateError> {
+    let inner = ChannelCap {
+        owner: r.local,
+        slot: cap.slot,
+        nonce: cap.nonce,
+    };
+    engine
+        .invoke_batch(r.local, &inner, payloads)
+        .map_err(|e| globalize(routes, r.shard, e))
+}
+
+/// Exclusive access to one shard of a [`ShardFabric`], from
+/// [`ShardFabric::split_mut`]. It serves intra-shard batches of that
+/// shard only, under the fabric's global ids and caps; cross-shard
+/// calls, epochs and the merge stay with the whole fabric.
+pub struct ShardMut<'a> {
+    shard: u32,
+    engine: &'a mut dyn Substrate,
+    routes: &'a [Option<Route>],
+}
+
+impl ShardMut<'_> {
+    /// [`ShardFabric::invoke_batch`] for a caller on this shard and an
+    /// intra-shard capability: the same routing, trace events and error
+    /// ids.
+    ///
+    /// # Errors
+    ///
+    /// [`SubstrateError::AccessDenied`] when `caller` lives on another
+    /// shard; [`SubstrateError::InvalidCapability`] for a cross-shard
+    /// slot (`cap.slot >= XSHARD_SLOT_BASE`), which only the whole
+    /// fabric can dispatch; otherwise as [`Substrate::invoke_batch`].
+    pub fn invoke_batch(
+        &mut self,
+        caller: DomainId,
+        cap: &ChannelCap,
+        payloads: &[&[u8]],
+    ) -> Result<Vec<Vec<u8>>, SubstrateError> {
+        let r = route_in(self.routes, caller)?;
+        if r.shard != self.shard {
+            return Err(SubstrateError::AccessDenied(format!(
+                "{caller} lives on {}, not {}",
+                ShardId(r.shard),
+                ShardId(self.shard)
+            )));
+        }
+        if cap.slot >= XSHARD_SLOT_BASE {
+            return Err(SubstrateError::InvalidCapability(format!(
+                "cross-shard slot {} needs the whole fabric",
+                cap.slot
+            )));
+        }
+        invoke_batch_intra(self.engine, self.routes, r, cap, payloads)
+    }
+
+    /// The shard engine's telemetry (metrics and spans).
+    pub fn telemetry_mut(&mut self) -> Option<&mut lateral_telemetry::Telemetry> {
+        self.engine.telemetry_mut_ref()
+    }
 }
 
 #[cfg(test)]
@@ -1040,6 +1132,40 @@ mod tests {
             pos_b < pos_a,
             "the epoch-0 event on the higher shard sorts before the epoch-1 event"
         );
+    }
+
+    #[test]
+    fn shard_handle_refuses_foreign_callers_and_cross_shard_caps() {
+        let mut fab = two_shards();
+        fab.pin("client", ShardId(0));
+        fab.pin("peer", ShardId(0));
+        fab.pin("svc", ShardId(1));
+        let client = fab
+            .spawn(DomainSpec::named("client"), Box::new(Echo))
+            .unwrap();
+        let peer = fab
+            .spawn(DomainSpec::named("peer"), Box::new(Echo))
+            .unwrap();
+        let svc = fab.spawn(DomainSpec::named("svc"), Box::new(Echo)).unwrap();
+        let local = fab.grant_channel(client, peer, Badge(1)).unwrap();
+        let cross = fab.grant_channel(client, svc, Badge(2)).unwrap();
+        let mut shards = fab.split_mut();
+        assert_eq!(
+            shards[0].invoke_batch(client, &local, &[b"ok"]).unwrap(),
+            vec![b"ok".to_vec()]
+        );
+        assert!(matches!(
+            shards[1].invoke_batch(client, &local, &[b"x"]),
+            Err(SubstrateError::AccessDenied(_))
+        ));
+        assert!(matches!(
+            shards[0].invoke_batch(client, &cross, &[b"x"]),
+            Err(SubstrateError::InvalidCapability(_))
+        ));
+        drop(shards);
+        // Neither refusal reached an engine: no denial, no event.
+        assert_eq!(fab.merged_trace().len(), 1);
+        assert_eq!(fab.merged_metrics().counter("crossing.xshard"), 0);
     }
 
     #[test]

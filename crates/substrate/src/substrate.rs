@@ -81,8 +81,9 @@ impl DomainSpec {
 ///
 /// Object-safe: composers hold `Box<dyn Substrate>` and mix backends
 /// freely, as the smart-meter appliance mixes a microkernel and TrustZone
-/// on one machine.
-pub trait Substrate {
+/// on one machine. `Send`, so each shard of a
+/// [`crate::shard::ShardFabric`] can be driven from a thread of its own.
+pub trait Substrate: Send {
     /// The backend's self-description (defended attacker models,
     /// features, TCB size).
     fn profile(&self) -> &SubstrateProfile;

@@ -16,6 +16,13 @@ cargo test --workspace -q
 echo "==> cargo test --release -q -p lateral-crypto"
 cargo test --release -q -p lateral-crypto
 
+# The fleet tick runs its shard lanes on threads; test the lanes, the
+# split shard borrow and the pinned fleet outcomes as optimised code too.
+echo "==> cargo test --release -q -p lateral-apps -p lateral-substrate"
+cargo test --release -q -p lateral-apps -p lateral-substrate
+echo "==> cargo test --release -q --test sharded_fabric --test fleet_world"
+cargo test --release -q --test sharded_fabric --test fleet_world
+
 # The benchmark builds against the workspace crates by path; build and
 # test it here so a change to a public item it uses fails the gate.
 echo "==> cargo test --release -q --manifest-path perfbench/Cargo.toml"

@@ -23,6 +23,7 @@ use lateral::substrate::substrate::{DomainSpec, Substrate};
 use lateral::substrate::testkit::{parity, Echo};
 use lateral::substrate::DomainId;
 use lateral_bench::e2_conformance::all_substrates;
+use std::sync::mpsc;
 
 // --------------------------------------------------- backend parity
 
@@ -129,8 +130,10 @@ fn sharded3() -> Sharded3 {
 #[test]
 fn shard_merge_is_invariant_under_global_interleaving() {
     // Variant A interleaves shards round-robin; variant B runs each
-    // shard's calls back to back in a different shard order. Per-shard
-    // order is identical, so the merged artifacts must be too.
+    // shard's calls back to back in a different shard order; variant C
+    // runs each shard's calls on a thread of its own through the split
+    // borrow. Per-shard order is identical, so the merged artifacts must
+    // be too.
     let mut a = sharded3();
     for i in 0..4u8 {
         for s in 0..3 {
@@ -162,6 +165,44 @@ fn shard_merge_is_invariant_under_global_interleaving() {
     assert_eq!(
         a.fab.merged_metrics().digest(),
         b.fab.merged_metrics().digest()
+    );
+
+    // Variant C: a channel chain forces the completion order shard 2 →
+    // 1 → 0, each thread starting only once the previous one is done.
+    let mut c = sharded3();
+    let (clients, caps) = (&c.clients, &c.caps);
+    let mut shards = c.fab.split_mut();
+    std::thread::scope(|scope| {
+        let mut go: Option<mpsc::Receiver<()>> = None;
+        for s in [2, 1, 0] {
+            let mut shard = shards.pop().unwrap();
+            let (done, next) = mpsc::channel();
+            let wait = go.replace(next);
+            scope.spawn(move || {
+                if let Some(wait) = wait {
+                    wait.recv().unwrap();
+                }
+                for i in 0..4u8 {
+                    shard.invoke_batch(clients[s], &caps[s], &[&[i]]).unwrap();
+                }
+                let _ = done.send(());
+            });
+        }
+    });
+    c.fab.advance_epoch();
+    c.fab.invoke(c.clients[0], &c.xcap, b"cross").unwrap();
+    assert_eq!(
+        a.fab.merged_trace_bytes(),
+        c.fab.merged_trace_bytes(),
+        "merged trace bytes must not depend on which thread ran a shard"
+    );
+    assert_eq!(
+        a.fab.merged_invariant_digest(),
+        c.fab.merged_invariant_digest()
+    );
+    assert_eq!(
+        a.fab.merged_metrics().digest(),
+        c.fab.merged_metrics().digest()
     );
 }
 
