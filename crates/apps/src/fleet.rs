@@ -1104,9 +1104,10 @@ impl ShardLane {
         }
         self.deferred = still_deferred;
         if tick.shed > 0 {
-            if let Some(tel) = shard.telemetry_mut() {
-                tel.metrics_mut().incr("fleet.ingest.shed", tick.shed);
-            }
+            shard
+                .telemetry_mut()
+                .metrics_mut()
+                .incr("fleet.ingest.shed", tick.shed);
         }
         let mut admitted = older
             .chunks_exact(READING_BYTES)

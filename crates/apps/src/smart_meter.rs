@@ -634,36 +634,29 @@ impl SmartMeterWorld {
                 None => &mut self.kernel,
             };
             let at = sub.now();
-            sub.telemetry_mut_ref()
-                .map(|t| t.begin_span("billing round", "app", at))
+            sub.telemetry_mut().begin_span("billing round", "app", at)
         };
         let utility_span = {
             let at = self.utility.now();
             self.utility
-                .telemetry_mut_ref()
-                .map(|t| t.begin_span("billing round", "app", at))
+                .telemetry_mut()
+                .begin_span("billing round", "app", at)
         };
         let outcome = self.billing_round_steps();
         let code = match &outcome {
             BillingOutcome::Billed(_) => span_outcome::OK,
             _ => span_outcome::FAILED,
         };
-        if let Some(id) = meter_span {
-            let sub: &mut dyn Substrate = match &mut self.trustzone {
-                Some(tz) => tz,
-                None => &mut self.kernel,
-            };
-            let at = sub.now();
-            if let Some(t) = sub.telemetry_mut_ref() {
-                t.end_span(id, at, code);
-            }
-        }
-        if let Some(id) = utility_span {
-            let at = self.utility.now();
-            if let Some(t) = self.utility.telemetry_mut_ref() {
-                t.end_span(id, at, code);
-            }
-        }
+        let sub: &mut dyn Substrate = match &mut self.trustzone {
+            Some(tz) => tz,
+            None => &mut self.kernel,
+        };
+        let at = sub.now();
+        sub.telemetry_mut().end_span(meter_span, at, code);
+        let at = self.utility.now();
+        self.utility
+            .telemetry_mut()
+            .end_span(utility_span, at, code);
         outcome
     }
 
@@ -809,18 +802,13 @@ impl SmartMeterWorld {
     /// it is.
     pub fn telemetry_report(&self) -> String {
         let meter = match &self.trustzone {
-            Some(tz) => tz.telemetry_ref(),
-            None => self.kernel.telemetry_ref(),
+            Some(tz) => tz.telemetry(),
+            None => self.kernel.telemetry(),
         };
         format!(
             "meter:\n{}utility:\n{}",
-            meter
-                .map(lateral_telemetry::Telemetry::render_tree)
-                .unwrap_or_default(),
-            self.utility
-                .telemetry_ref()
-                .map(lateral_telemetry::Telemetry::render_tree)
-                .unwrap_or_default(),
+            meter.render_tree(),
+            self.utility.telemetry().render_tree(),
         )
     }
 
@@ -835,8 +823,7 @@ impl SmartMeterWorld {
         self.trustzone
             .as_mut()
             .expect("fault injection targets the real TrustZone meter")
-            .fabric_mut_ref()
-            .expect("trustzone routes through the fabric")
+            .fabric_mut()
             .install_fault_plan(plan);
     }
 

@@ -123,8 +123,7 @@ fn run_one(
         .expect("baseline recorded");
     sup.assembly_mut()
         .substrate_mut(0)
-        .fabric_mut_ref()
-        .expect("every backend routes through the fabric")
+        .fabric_mut()
         .install_fault_plan(plan);
 
     let mut lost = 0u32;
@@ -183,12 +182,7 @@ fn run_one(
         },
         evidence,
     };
-    let trace = sup
-        .assembly_mut()
-        .substrate_mut(0)
-        .fabric_ref()
-        .expect("fabric present")
-        .trace_bytes();
+    let trace = sup.assembly_mut().substrate_mut(0).fabric().trace_bytes();
     (result, trace)
 }
 

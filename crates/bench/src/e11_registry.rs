@@ -216,8 +216,7 @@ fn run_backend(idx: usize) -> BackendAdmission {
     .expect("certified app composes");
     sup.assembly_mut()
         .substrate_mut(0)
-        .fabric_mut_ref()
-        .expect("every backend routes through the fabric")
+        .fabric_mut()
         .install_fault_plan(FaultPlan::new().with(FaultSpec::crash("worker", 2)));
     sup.call("worker", b"ping").expect("first call serves");
     let _ = sup.call("worker", b"boom"); // injected crash

@@ -117,8 +117,7 @@ fn run_backend(idx: usize) -> BackendTrace {
     // Counter values before the round: substrate construction differs
     // per backend and is not part of the invariant.
     let baseline: BTreeMap<String, u64> = sub
-        .telemetry_ref()
-        .expect("every backend routes through the fabric")
+        .telemetry()
         .metrics()
         .counters()
         .map(|(k, v)| (k.to_string(), v))
@@ -126,15 +125,14 @@ fn run_backend(idx: usize) -> BackendTrace {
 
     // Root span first, so composition itself nests into the trace.
     let at = sub.now();
-    let tel = sub.telemetry_mut_ref().expect("fabric-backed");
+    let tel = sub.telemetry_mut();
     let root = tel.begin_span("e12 billing round", "experiment", at);
     let trace_id = tel.context().expect("root span is open").trace_id;
 
     let mut sup = Supervisor::new(app(), vec![sub], factory()).expect("compose e12 app");
     sup.assembly_mut()
         .substrate_mut(0)
-        .fabric_mut_ref()
-        .expect("fabric present")
+        .fabric_mut()
         .install_fault_plan(FaultPlan::new().with(FaultSpec::crash("meter", 3)));
 
     let mut served = 0u32;
@@ -170,7 +168,7 @@ fn run_backend(idx: usize) -> BackendTrace {
 
     let sub = sup.assembly_mut().substrate_mut(0);
     let now = sub.now();
-    let tel = sub.telemetry_mut_ref().expect("fabric-backed");
+    let tel = sub.telemetry_mut();
     tel.end_span(root, now, span_outcome::OK);
     let spans = tel.spans().filter(|s| s.trace_id == trace_id).count();
     let tree_digest = tel.trace_digest(trace_id).short_hex();

@@ -81,12 +81,7 @@ fn setup(
 /// text — the same invariant projection E12 digests.
 fn invariant_metrics_digest(sub: &dyn Substrate, baseline: &BTreeMap<String, u64>) -> String {
     let mut canon = String::new();
-    for (name, value) in sub
-        .telemetry_ref()
-        .expect("fabric-backed")
-        .metrics()
-        .counters()
-    {
+    for (name, value) in sub.telemetry().metrics().counters() {
         if name.starts_with("crossing.") {
             continue;
         }
@@ -99,8 +94,7 @@ fn invariant_metrics_digest(sub: &dyn Substrate, baseline: &BTreeMap<String, u64
 }
 
 fn counter_baseline(sub: &dyn Substrate) -> BTreeMap<String, u64> {
-    sub.telemetry_ref()
-        .expect("fabric-backed")
+    sub.telemetry()
         .metrics()
         .counters()
         .map(|(k, v)| (k.to_string(), v))
@@ -123,21 +117,21 @@ fn run_backend(idx: usize) -> BackendSweep {
     let mut batched = all_substrates().remove(idx);
     let baseline = counter_baseline(batched.as_ref());
     let at = batched.now();
-    let tel = batched.telemetry_mut_ref().expect("fabric-backed");
+    let tel = batched.telemetry_mut();
     let root = tel.begin_span("e13 invocation sweep", "experiment", at);
     let trace_id = tel.context().expect("root open").trace_id;
     let (client, cap) = setup(batched.as_mut(), "e13");
-    let ring_before = batched.fabric_ref().expect("fabric").trace_len();
+    let ring_before = batched.fabric().trace_len();
     let views: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
     let replies = batched
         .invoke_batch(client, &cap, &views)
         .expect("batch invoke");
     assert_eq!(replies, payloads, "echo batch replies in order");
     let now = batched.now();
-    let tel = batched.telemetry_mut_ref().expect("fabric-backed");
+    let tel = batched.telemetry_mut();
     tel.end_span(root, now, span_outcome::OK);
 
-    let fabric = batched.fabric_ref().expect("fabric");
+    let fabric = batched.fabric();
     let events: Vec<_> = fabric.trace().skip(ring_before).cloned().collect();
     let invocations = events.len() as u64;
     let logical_cost: u64 = events.iter().map(|e| e.cost).sum();
@@ -147,19 +141,13 @@ fn run_backend(idx: usize) -> BackendSweep {
         .unwrap_or_default();
 
     let count_invoke_spans = |sub: &dyn Substrate| {
-        sub.telemetry_ref()
-            .expect("fabric-backed")
+        sub.telemetry()
             .spans()
             .filter(|s| &*s.name == "invoke e13-svc")
             .count()
     };
-    let rings_match = looped.fabric_ref().expect("fabric").trace_bytes()
-        == batched.fabric_ref().expect("fabric").trace_bytes();
-    let tree_digest = batched
-        .telemetry_ref()
-        .expect("fabric-backed")
-        .trace_digest(trace_id)
-        .short_hex();
+    let rings_match = looped.fabric().trace_bytes() == batched.fabric().trace_bytes();
+    let tree_digest = batched.telemetry().trace_digest(trace_id).short_hex();
     let metrics_digest = invariant_metrics_digest(batched.as_ref(), &baseline);
 
     BackendSweep {

@@ -64,14 +64,11 @@ pub struct BackendScale {
 }
 
 fn counter_baseline(sub: &dyn Substrate) -> BTreeMap<String, u64> {
-    sub.telemetry_ref()
-        .map(|t| {
-            t.metrics()
-                .counters()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect()
-        })
-        .unwrap_or_default()
+    sub.telemetry()
+        .metrics()
+        .counters()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
 }
 
 /// Merged counter deltas since the per-shard baselines, `crossing.*`
@@ -83,15 +80,18 @@ fn merged_invariant_metrics_digest(
 ) -> String {
     let mut deltas: BTreeMap<String, u64> = BTreeMap::new();
     for (s, baseline) in baselines.iter().enumerate().take(fab.shard_count()) {
-        if let Some(telemetry) = fab.shard(ShardId(s as u32)).telemetry_ref() {
-            for (name, value) in telemetry.metrics().counters() {
-                if name.starts_with("crossing.") {
-                    continue;
-                }
-                let delta = value - baseline.get(name).copied().unwrap_or(0);
-                if delta > 0 {
-                    *deltas.entry(name.to_string()).or_default() += delta;
-                }
+        for (name, value) in fab
+            .shard(ShardId(s as u32))
+            .telemetry()
+            .metrics()
+            .counters()
+        {
+            if name.starts_with("crossing.") {
+                continue;
+            }
+            let delta = value - baseline.get(name).copied().unwrap_or(0);
+            if delta > 0 {
+                *deltas.entry(name.to_string()).or_default() += delta;
             }
         }
     }

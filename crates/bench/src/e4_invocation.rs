@@ -58,19 +58,17 @@ pub struct CrossingFacts {
 /// clock around the call.
 fn charged_cost(sub: &mut dyn Substrate, caller: DomainId, cap: &ChannelCap, size: usize) -> u64 {
     let payload = vec![0xAAu8; size];
-    let t0 = sub.now();
     sub.invoke(caller, cap, &payload).expect("invoke");
-    sub.fabric_ref()
-        .and_then(|f| f.trace().last().map(|ev| ev.cost))
-        .unwrap_or_else(|| sub.now() - t0)
+    sub.fabric()
+        .trace()
+        .last()
+        .expect("the invoke was traced")
+        .cost
 }
 
 /// Harvests the engine's crossing counters accumulated on `sub`.
 fn crossing_facts(sub: &dyn Substrate, mechanism: &str) -> Vec<CrossingFacts> {
-    let Some(fabric) = sub.fabric_ref() else {
-        return Vec::new();
-    };
-    fabric
+    sub.fabric()
         .stats()
         .crossings()
         .map(|(kind, c)| CrossingFacts {

@@ -159,13 +159,13 @@ pub fn compose(
     // One `compose` span per pool substrate: every spawn and grant the
     // phases below perform on that substrate nests under it, so the
     // whole composition is one causal tree per fabric.
-    let spans: Vec<Option<lateral_telemetry::SpanId>> = assembly
+    let spans: Vec<lateral_telemetry::SpanId> = assembly
         .substrates
         .iter_mut()
         .map(|sub| {
             let at = sub.now();
-            sub.telemetry_mut_ref()
-                .map(|t| t.begin_span(&format!("compose {}", app.name), "compose", at))
+            sub.telemetry_mut()
+                .begin_span(&format!("compose {}", app.name), "compose", at)
         })
         .collect();
     let result = compose_phases(app, &mut assembly, factory);
@@ -174,14 +174,9 @@ pub fn compose(
     } else {
         lateral_telemetry::outcome::FAILED
     };
-    for (idx, span) in spans.into_iter().enumerate() {
-        if let Some(span) = span {
-            let sub = &mut assembly.substrates[idx];
-            let at = sub.now();
-            if let Some(t) = sub.telemetry_mut_ref() {
-                t.end_span(span, at, outcome);
-            }
-        }
+    for (sub, span) in assembly.substrates.iter_mut().zip(spans) {
+        let at = sub.now();
+        sub.telemetry_mut().end_span(span, at, outcome);
     }
     result?;
     Ok(assembly)
@@ -497,29 +492,25 @@ impl Assembly {
 
     /// The merged crossing profile of the whole pool: every substrate's
     /// retained trace folded edge-wise into one
-    /// [`lateral_telemetry::profile::CrossingProfile`] (substrates
-    /// without a fabric contribute nothing). This is the observation
-    /// input to [`crate::placement::plan_placement`].
+    /// [`lateral_telemetry::profile::CrossingProfile`]. This is the
+    /// observation input to [`crate::placement::plan_placement`].
     #[must_use]
     pub fn crossing_profile(&self) -> lateral_telemetry::profile::CrossingProfile {
         let mut merged = lateral_telemetry::profile::CrossingProfile::new();
         for sub in &self.substrates {
-            if let Some(p) = sub.crossing_profile() {
-                merged.absorb(&p);
-            }
+            merged.absorb(&sub.crossing_profile());
         }
         merged
     }
 
-    /// Every pool substrate's profile and introspectable cost model, in
-    /// pool order — the candidate set the placement optimizer scores
-    /// against.
+    /// Every pool substrate's profile and cost model, in pool order —
+    /// the candidate set the placement optimizer scores against.
     #[must_use]
     pub fn pool_profiles_and_models(
         &self,
     ) -> Vec<(
         lateral_substrate::attacker::SubstrateProfile,
-        Option<lateral_substrate::fabric::CrossingCostModel>,
+        lateral_substrate::fabric::CrossingCostModel,
     )> {
         self.substrates
             .iter()
@@ -528,21 +519,18 @@ impl Assembly {
     }
 
     /// Fabric traffic counters for every pool substrate, in pool order.
-    ///
-    /// Substrates predating the fabric engine (none in-tree) would
-    /// simply be absent from the result.
     pub fn traffic(&self) -> Vec<TrafficRow> {
         self.substrates
             .iter()
-            .filter_map(|s| {
-                let stats = s.fabric_ref()?.stats();
-                Some(TrafficRow {
+            .map(|s| {
+                let stats = s.fabric().stats();
+                TrafficRow {
                     substrate: s.profile().name.clone(),
                     invocations: stats.total_invocations(),
                     bytes: stats.total_bytes(),
                     denials: stats.total_denials(),
                     reentrancy_faults: stats.total_reentrancy_faults(),
-                })
+                }
             })
             .collect()
     }
@@ -692,8 +680,7 @@ impl Assembly {
         let mut down = Vec::new();
         for (name, p) in &self.placements {
             let sub = &self.substrates[p.substrate];
-            let dead = sub.measurement(p.domain).is_err()
-                || sub.fabric_ref().is_some_and(|f| f.is_crashed(p.domain));
+            let dead = sub.measurement(p.domain).is_err() || sub.fabric().is_crashed(p.domain);
             if dead {
                 down.push(name.clone());
             }

@@ -389,8 +389,8 @@ impl PlacementPlan {
 /// # Errors
 ///
 /// * [`CoreError::NotFound`] — a manifest component is not placed.
-/// * [`CoreError::NoSuitableSubstrate`] — a pool member exposes no cost
-///   model (nothing in-tree does), leaving a component unscorable.
+/// * [`CoreError::NoSuitableSubstrate`] — no pool candidate defends a
+///   component's required attacker models.
 pub fn plan_placement(
     app: &AppManifest,
     assembly: &Assembly,
@@ -398,7 +398,7 @@ pub fn plan_placement(
 ) -> Result<PlacementPlan, CoreError> {
     // (backend name, eligible-for?, model) per pool member, computed
     // once — eligibility is per component, models are per substrate.
-    let models: Vec<_> = assembly.pool_profiles_and_models().into_iter().collect();
+    let models = assembly.pool_profiles_and_models();
     let mut names: Vec<&str> = app.components.iter().map(|c| c.name.as_str()).collect();
     names.sort_unstable();
     let mut decisions = Vec::with_capacity(names.len());
@@ -415,23 +415,14 @@ pub fn plan_placement(
                 bytes += stats.bytes;
             }
         }
-        let mut candidates = Vec::with_capacity(models.len());
-        for (sub_profile, model) in &models {
-            let model = model
-                .as_ref()
-                .ok_or_else(|| CoreError::NoSuitableSubstrate {
-                    component: name.to_string(),
-                    reason: format!(
-                        "pool substrate '{}' exposes no cost model",
-                        sub_profile.name
-                    ),
-                })?;
-            candidates.push(CandidateScore {
+        let candidates: Vec<CandidateScore> = models
+            .iter()
+            .map(|(sub_profile, model)| CandidateScore {
                 backend: sub_profile.name.clone(),
                 eligible: sub_profile.satisfies(&cm.required_defense),
                 cost: model.price_invokes(DomainKind::Trusted, DomainKind::Trusted, calls, bytes),
-            });
-        }
+            })
+            .collect();
         let chosen = candidates
             .iter()
             .enumerate()

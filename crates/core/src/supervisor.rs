@@ -324,9 +324,11 @@ impl Supervisor {
             return;
         }
         if let Ok(p) = self.assembly.placement(name) {
-            if let Some(t) = self.assembly.substrate_mut(p.substrate).telemetry_mut_ref() {
-                t.metrics_mut().incr("supervisor.quarantines", 1);
-            }
+            self.assembly
+                .substrate_mut(p.substrate)
+                .telemetry_mut()
+                .metrics_mut()
+                .incr("supervisor.quarantines", 1);
         }
     }
 
@@ -344,37 +346,45 @@ impl Supervisor {
     fn try_restart(&mut self, name: &str) -> Result<(), CoreError> {
         // The whole recovery cycle — rebuild, respawn, re-measure,
         // re-attest, re-grant — is one `respawn` span on the
-        // component's substrate, so the spawn and grant spans the cycle
-        // triggers nest under it causally.
-        let span = self.assembly.placement(name).ok().and_then(|p| {
-            let sub = self.assembly.substrate_mut(p.substrate);
-            let at = sub.now();
-            sub.telemetry_mut_ref().map(|t| {
-                (
-                    p.substrate,
-                    at,
-                    t.begin_span(&format!("respawn {name}"), "supervisor", at),
-                )
-            })
-        });
-        let result = self.restart_cycle(name);
-        if let Some((idx, started, span)) = span {
-            let sub = self.assembly.substrate_mut(idx);
-            let at = sub.now();
-            let outcome = if result.is_ok() {
-                lateral_telemetry::outcome::OK
-            } else {
-                lateral_telemetry::outcome::FAILED
-            };
-            if let Some(t) = sub.telemetry_mut_ref() {
-                t.end_span(span, at, outcome);
-                let metrics = t.metrics_mut();
-                if result.is_ok() {
-                    metrics.incr("supervisor.restarts", 1);
-                }
-                metrics.observe("supervisor.respawn.ticks", at.saturating_sub(started));
-            }
+        // component's substrate.
+        let idx = self.assembly.placement(name)?.substrate;
+        self.traced_cycle(
+            idx,
+            (&format!("respawn {name}"), "supervisor"),
+            ("supervisor.restarts", "supervisor.respawn.ticks"),
+            |sup| sup.restart_cycle(name),
+        )
+    }
+
+    /// Runs `cycle` under one `span` (name, layer) on pool substrate
+    /// `idx`, so the spawn and grant spans the cycle triggers nest under
+    /// it causally; counts `counter` when the cycle succeeds and
+    /// observes its ticks in `ticks` either way.
+    fn traced_cycle(
+        &mut self,
+        idx: usize,
+        span: (&str, &'static str),
+        (counter, ticks): (&str, &str),
+        cycle: impl FnOnce(&mut Supervisor) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
+        let sub = self.assembly.substrate_mut(idx);
+        let started = sub.now();
+        let id = sub.telemetry_mut().begin_span(span.0, span.1, started);
+        let result = cycle(self);
+        let sub = self.assembly.substrate_mut(idx);
+        let at = sub.now();
+        let outcome = if result.is_ok() {
+            lateral_telemetry::outcome::OK
+        } else {
+            lateral_telemetry::outcome::FAILED
+        };
+        let t = sub.telemetry_mut();
+        t.end_span(id, at, outcome);
+        let metrics = t.metrics_mut();
+        if result.is_ok() {
+            metrics.incr(counter, 1);
         }
+        metrics.observe(ticks, at.saturating_sub(started));
         result
     }
 
@@ -475,15 +485,14 @@ impl Supervisor {
     ///
     /// Everything [`plan_placement`] can return.
     pub fn optimize(&mut self) -> Result<PlacementPlan, CoreError> {
-        let spans: Vec<Option<(usize, lateral_telemetry::SpanId)>> =
-            (0..self.assembly.substrate_count())
-                .map(|idx| {
-                    let sub = self.assembly.substrate_mut(idx);
-                    let at = sub.now();
-                    sub.telemetry_mut_ref()
-                        .map(|t| (idx, t.begin_span("placement.score", "placement", at)))
-                })
-                .collect();
+        let spans: Vec<lateral_telemetry::SpanId> = (0..self.assembly.substrate_count())
+            .map(|idx| {
+                let sub = self.assembly.substrate_mut(idx);
+                let at = sub.now();
+                sub.telemetry_mut()
+                    .begin_span("placement.score", "placement", at)
+            })
+            .collect();
         let profile = self.assembly.crossing_profile();
         let result = plan_placement(&self.app, &self.assembly, &profile);
         let outcome = if result.is_ok() {
@@ -491,17 +500,15 @@ impl Supervisor {
         } else {
             lateral_telemetry::outcome::FAILED
         };
-        for span in spans.into_iter().flatten() {
-            let (idx, span) = span;
+        for (idx, span) in spans.into_iter().enumerate() {
             let sub = self.assembly.substrate_mut(idx);
             let at = sub.now();
-            if let Some(t) = sub.telemetry_mut_ref() {
-                t.end_span(span, at, outcome);
-                if let Ok(plan) = &result {
-                    let metrics = t.metrics_mut();
-                    metrics.incr("placement.plans", 1);
-                    metrics.incr("placement.moves", plan.move_count() as u64);
-                }
+            let t = sub.telemetry_mut();
+            t.end_span(span, at, outcome);
+            if let Ok(plan) = &result {
+                let metrics = t.metrics_mut();
+                metrics.incr("placement.plans", 1);
+                metrics.incr("placement.moves", plan.move_count() as u64);
             }
         }
         result
@@ -558,35 +565,12 @@ impl Supervisor {
         if p.substrate == target {
             return Ok(());
         }
-        let span = {
-            let sub = self.assembly.substrate_mut(target);
-            let at = sub.now();
-            sub.telemetry_mut_ref().map(|t| {
-                (
-                    at,
-                    t.begin_span(&format!("placement.migrate {name}"), "placement", at),
-                )
-            })
-        };
-        let result = self.migrate_cycle(name, target);
-        if let Some((started, span)) = span {
-            let sub = self.assembly.substrate_mut(target);
-            let at = sub.now();
-            let outcome = if result.is_ok() {
-                lateral_telemetry::outcome::OK
-            } else {
-                lateral_telemetry::outcome::FAILED
-            };
-            if let Some(t) = sub.telemetry_mut_ref() {
-                t.end_span(span, at, outcome);
-                let metrics = t.metrics_mut();
-                if result.is_ok() {
-                    metrics.incr("placement.migrations", 1);
-                }
-                metrics.observe("placement.migrate.ticks", at.saturating_sub(started));
-            }
-        }
-        result
+        self.traced_cycle(
+            target,
+            (&format!("placement.migrate {name}"), "placement"),
+            ("placement.migrations", "placement.migrate.ticks"),
+            |sup| sup.migrate_cycle(name, target),
+        )
     }
 
     fn migrate_cycle(&mut self, name: &str, target: usize) -> Result<(), CoreError> {
@@ -815,8 +799,7 @@ mod tests {
     fn install(sup: &mut Supervisor, plan: FaultPlan) {
         sup.assembly_mut()
             .substrate_mut(0)
-            .fabric_mut_ref()
-            .expect("software routes through the fabric")
+            .fabric_mut()
             .install_fault_plan(plan);
     }
 
@@ -891,8 +874,7 @@ mod tests {
         let quarantines = |sup: &mut Supervisor| {
             sup.assembly_mut()
                 .substrate_mut(0)
-                .telemetry_mut_ref()
-                .unwrap()
+                .telemetry_mut()
                 .metrics_mut()
                 .counter("supervisor.quarantines")
         };
@@ -1199,8 +1181,7 @@ mod tests {
             let migrations = sup
                 .assembly_mut()
                 .substrate_mut(1)
-                .telemetry_mut_ref()
-                .unwrap()
+                .telemetry_mut()
                 .metrics_mut()
                 .counter("placement.migrations");
             assert_eq!(migrations, 1);
@@ -1235,8 +1216,7 @@ mod tests {
             let plans = sup
                 .assembly_mut()
                 .substrate_mut(0)
-                .telemetry_mut_ref()
-                .unwrap()
+                .telemetry_mut()
                 .metrics_mut()
                 .counter("placement.plans");
             assert_eq!(plans, 1);

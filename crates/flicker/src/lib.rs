@@ -40,8 +40,7 @@ use lateral_crypto::Digest;
 use lateral_substrate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use lateral_substrate::attest::AttestationEvidence;
 use lateral_substrate::fabric::{
-    place_heap_memory, BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric,
-    InvokeKindRule,
+    BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric, HeapMemory, InvokeKindRule,
 };
 use lateral_substrate::{DomainId, SubstrateError};
 use lateral_tpm::Tpm;
@@ -54,11 +53,9 @@ pub const LATE_LAUNCH_COST: u64 = 60_000;
 pub struct Flicker {
     tpm: Tpm,
     fabric: Fabric,
-    memories: Vec<Vec<u8>>,
+    memory: HeapMemory,
     session_active: bool,
     clock: u64,
-    rng: Drbg,
-    profile: SubstrateProfile,
 }
 
 impl std::fmt::Debug for Flicker {
@@ -71,48 +68,49 @@ impl Flicker {
     /// Initializes the substrate on a board identified by `seed` (the
     /// TPM identity derives from it).
     pub fn new(seed: &str) -> Flicker {
+        let profile = SubstrateProfile {
+            name: "flicker".to_string(),
+            defends: models(&[
+                AttackerModel::RemoteSoftware,
+                // The kernel is *stopped* during a session.
+                AttackerModel::CompromisedOs,
+                // DRTM engages DMA protection over the PAL region.
+                AttackerModel::MaliciousDevice,
+                // The launch instruction is the trust anchor.
+                AttackerModel::PhysicalBoot,
+            ]),
+            features: Features {
+                spatial_isolation: true,
+                // Everything else is stopped — trivially interference
+                // free *during* a session; the flag is still false
+                // because between sessions the legacy OS owns the
+                // machine and all caches.
+                temporal_isolation: false,
+                memory_encryption: false,
+                trust_anchor: true,
+                attestation: true,
+                sealed_storage: true,
+                // One PAL at a time.
+                max_trusted_domains: Some(1),
+                hosts_legacy_os: true,
+            },
+            // The Flicker kernel module + PAL shim are tiny.
+            tcb_loc: 5_000,
+        };
+        // Every invocation is a DRTM entry/exit pair.
+        let cost_model = CrossingCostModel::uniform(
+            LATE_LAUNCH_COST,
+            1,
+            8,
+            InvokeKindRule::Always(CrossingKind::LateLaunch),
+        );
+        let rng = Drbg::from_seed(&[b"lateral.flicker.", seed.as_bytes()].concat());
         Flicker {
             tpm: Tpm::new(seed.as_bytes()),
-            // Every invocation is a DRTM entry/exit pair.
-            fabric: Fabric::new(CrossingCostModel::uniform(
-                LATE_LAUNCH_COST,
-                1,
-                8,
-                InvokeKindRule::Always(CrossingKind::LateLaunch),
-            )),
-            memories: Vec::new(),
+            fabric: Fabric::new(cost_model, profile, rng),
+            memory: HeapMemory::default(),
             session_active: false,
             clock: 0,
-            rng: Drbg::from_seed(&[b"lateral.flicker.", seed.as_bytes()].concat()),
-            profile: SubstrateProfile {
-                name: "flicker".to_string(),
-                defends: models(&[
-                    AttackerModel::RemoteSoftware,
-                    // The kernel is *stopped* during a session.
-                    AttackerModel::CompromisedOs,
-                    // DRTM engages DMA protection over the PAL region.
-                    AttackerModel::MaliciousDevice,
-                    // The launch instruction is the trust anchor.
-                    AttackerModel::PhysicalBoot,
-                ]),
-                features: Features {
-                    spatial_isolation: true,
-                    // Everything else is stopped — trivially interference
-                    // free *during* a session; the flag is still false
-                    // because between sessions the legacy OS owns the
-                    // machine and all caches.
-                    temporal_isolation: false,
-                    memory_encryption: false,
-                    trust_anchor: true,
-                    attestation: true,
-                    sealed_storage: true,
-                    // One PAL at a time.
-                    max_trusted_domains: Some(1),
-                    hosts_legacy_os: true,
-                },
-                // The Flicker kernel module + PAL shim are tiny.
-                tcb_loc: 5_000,
-            },
         }
     }
 
@@ -124,10 +122,6 @@ impl Flicker {
 }
 
 impl BackendPolicy for Flicker {
-    fn backend_profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -138,13 +132,11 @@ impl BackendPolicy for Flicker {
 
     fn place(&mut self, id: DomainId, _kind: DomainKind) -> Result<(), SubstrateError> {
         let pages = self.fabric.table().get(id)?.spec.mem_pages;
-        place_heap_memory(&mut self.memories, id, pages)
+        self.memory.place(id, pages)
     }
 
     fn unplace(&mut self, id: DomainId) {
-        if let Some(mem) = self.memories.get_mut(id.0 as usize) {
-            mem.fill(0);
-        }
+        self.memory.scrub(id);
     }
 
     fn charge_spawn(&mut self, id: DomainId) -> Result<(), SubstrateError> {
@@ -199,12 +191,7 @@ impl BackendPolicy for Flicker {
         len: usize,
     ) -> Result<Vec<u8>, SubstrateError> {
         self.fabric.table().get(domain)?;
-        let mem = &self.memories[domain.0 as usize];
-        let end = offset
-            .checked_add(len)
-            .filter(|e| *e <= mem.len())
-            .ok_or_else(|| SubstrateError::AccessDenied("PAL memory out of range".into()))?;
-        Ok(mem[offset..end].to_vec())
+        self.memory.read(domain, offset, len)
     }
 
     fn write_mem(
@@ -214,17 +201,7 @@ impl BackendPolicy for Flicker {
         data: &[u8],
     ) -> Result<(), SubstrateError> {
         self.fabric.table().get(domain)?;
-        let mem = &mut self.memories[domain.0 as usize];
-        let end = offset
-            .checked_add(data.len())
-            .filter(|e| *e <= mem.len())
-            .ok_or_else(|| SubstrateError::AccessDenied("PAL memory out of range".into()))?;
-        mem[offset..end].copy_from_slice(data);
-        Ok(())
-    }
-
-    fn domain_rng(&mut self, domain: DomainId) -> u64 {
-        self.rng.fork(&format!("pal-{}", domain.0)).next_u64()
+        self.memory.write(domain, offset, data)
     }
 
     fn seal_blob(

@@ -20,9 +20,10 @@
 //!
 //! Like every backend, the kernel is a [`BackendPolicy`] and nothing
 //! else: it places one [`DomainMemory`] per domain, charges spawns, and
-//! owns the clock, randomness and sealing keys; the fabric engine in
+//! owns the clock and sealing keys; the fabric engine in
 //! `lateral_substrate::fabric` supplies the whole `Substrate` interface
-//! and prices every IPC from the cost model the kernel hands its fabric.
+//! and prices every IPC from the cost model the kernel hands its fabric,
+//! with its profile and the DRBG its domains draw from.
 //!
 //! The kernel itself is the isolation substrate and thus every
 //! component's TCB; its profile reports ~10 kLoC, the magnitude of seL4,
@@ -69,8 +70,6 @@ pub struct Microkernel {
     sched: Scheduler,
     seal_secret: [u8; 32],
     attestation: Option<(SigningKey, Digest)>,
-    rng: Drbg,
-    profile: SubstrateProfile,
     next_cache_domain: u32,
 }
 
@@ -101,33 +100,32 @@ impl Microkernel {
             c.copy_per_byte_den,
             InvokeKindRule::Always(CrossingKind::Ipc),
         );
+        let profile = SubstrateProfile {
+            name: "microkernel".to_string(),
+            defends: models(&[
+                AttackerModel::RemoteSoftware,
+                AttackerModel::CompromisedOs,
+                AttackerModel::MaliciousDevice,
+            ]),
+            features: Features {
+                spatial_isolation: true,
+                temporal_isolation: true,
+                memory_encryption: false,
+                trust_anchor: false,
+                attestation: false,
+                sealed_storage: true,
+                max_trusted_domains: None,
+                hosts_legacy_os: true,
+            },
+            tcb_loc: 10_000,
+        };
         Microkernel {
             machine,
-            fabric: Fabric::new(cost_model),
+            fabric: Fabric::new(cost_model, profile, rng),
             kstate: BTreeMap::new(),
             sched: Scheduler::new(SchedPolicy::RoundRobin),
             seal_secret,
             attestation: None,
-            rng,
-            profile: SubstrateProfile {
-                name: "microkernel".to_string(),
-                defends: models(&[
-                    AttackerModel::RemoteSoftware,
-                    AttackerModel::CompromisedOs,
-                    AttackerModel::MaliciousDevice,
-                ]),
-                features: Features {
-                    spatial_isolation: true,
-                    temporal_isolation: true,
-                    memory_encryption: false,
-                    trust_anchor: false,
-                    attestation: false,
-                    sealed_storage: true,
-                    max_trusted_domains: None,
-                    hosts_legacy_os: true,
-                },
-                tcb_loc: 10_000,
-            },
             next_cache_domain: 1,
         }
     }
@@ -138,8 +136,9 @@ impl Microkernel {
     #[must_use]
     pub fn with_attestation(mut self, key: SigningKey, platform_state: Digest) -> Microkernel {
         self.attestation = Some((key, platform_state));
-        self.profile.features.attestation = true;
-        self.profile.features.trust_anchor = true;
+        let features = &mut self.fabric.profile_mut().features;
+        features.attestation = true;
+        features.trust_anchor = true;
         self
     }
 
@@ -265,10 +264,6 @@ impl Microkernel {
 }
 
 impl BackendPolicy for Microkernel {
-    fn backend_profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -358,10 +353,6 @@ impl BackendPolicy for Microkernel {
                 data,
             )
             .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
-    }
-
-    fn domain_rng(&mut self, domain: DomainId) -> u64 {
-        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(

@@ -404,6 +404,8 @@ pub fn complete_resume(
 }
 
 struct StoredTicket {
+    /// Mint order: eviction drops the smallest.
+    minted: u64,
     secret: [u8; 32],
     peer_key: [u8; 32],
     evidence: [u8; 32],
@@ -427,6 +429,7 @@ pub struct Redeemed {
 pub struct TicketStore {
     tickets: BTreeMap<[u8; 16], StoredTicket>,
     capacity: usize,
+    minted: u64,
 }
 
 impl std::fmt::Debug for TicketStore {
@@ -446,6 +449,7 @@ impl TicketStore {
         TicketStore {
             tickets: BTreeMap::new(),
             capacity: capacity.max(1),
+            minted: 0,
         }
     }
 
@@ -460,9 +464,9 @@ impl TicketStore {
     }
 
     /// Mints a fresh ticket for a peer whose attestation verified to
-    /// `evidence` in `epoch`. At capacity, the oldest ticket (smallest
-    /// id) is evicted — its holder simply falls back to the full
-    /// handshake.
+    /// `evidence` in `epoch`. At capacity, the oldest ticket (first
+    /// minted) is evicted — its holder simply falls back to the full
+    /// handshake. Ids are random, so finding it scans the store.
     pub fn mint(
         &mut self,
         rng: &mut Drbg,
@@ -474,12 +478,17 @@ impl TicketStore {
         rng.fill_bytes(&mut id);
         let mut secret = [0u8; 32];
         rng.fill_bytes(&mut secret);
-        while self.tickets.len() >= self.capacity {
-            self.tickets.pop_first();
+        if self.tickets.len() >= self.capacity {
+            let oldest = self.tickets.iter().min_by_key(|(_, t)| t.minted);
+            if let Some((&oldest, _)) = oldest {
+                self.tickets.remove(&oldest);
+            }
         }
+        self.minted += 1;
         self.tickets.insert(
             id,
             StoredTicket {
+                minted: self.minted,
                 secret,
                 peer_key,
                 evidence,
@@ -793,13 +802,23 @@ mod tests {
     }
 
     #[test]
-    fn store_capacity_evicts_rather_than_grows() {
-        let mut rng = Drbg::from_seed(b"capacity");
+    fn store_capacity_evicts_in_mint_order() {
+        // Ticket ids are random, so evicting by id would keep whichever
+        // tickets drew large ids; on this seed that keeps an old one.
+        let mut rng = Drbg::from_seed(b"mint order");
         let mut store = TicketStore::new(2);
         let e = epoch(0, 0, 0);
-        for _ in 0..5 {
-            store.mint(&mut rng, [1; 32], [2; 32], e);
-        }
+        let tickets: Vec<_> = (0..5)
+            .map(|_| store.mint(&mut rng, [1; 32], [2; 32], e))
+            .collect();
         assert_eq!(store.len(), 2);
+        let redeemed: Vec<bool> = tickets
+            .iter()
+            .map(|t| {
+                let hello = ResumeHello::new(t, &mut rng.clone());
+                store.redeem(&hello, &e, &mut rng).is_ok()
+            })
+            .collect();
+        assert_eq!(redeemed, [false, false, false, true, true]);
     }
 }

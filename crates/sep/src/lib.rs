@@ -58,8 +58,6 @@ pub struct Sep {
     fabric: Fabric,
     mems: BTreeMap<DomainId, DomainMemory>,
     attest_key: SigningKey,
-    rng: Drbg,
-    profile: SubstrateProfile,
 }
 
 impl std::fmt::Debug for Sep {
@@ -110,36 +108,35 @@ impl Sep {
             c.copy_per_byte_num,
             c.copy_per_byte_den,
         );
+        let profile = SubstrateProfile {
+            name: "sep".to_string(),
+            defends: models(&[
+                AttackerModel::RemoteSoftware,
+                AttackerModel::CompromisedOs,
+                AttackerModel::MaliciousDevice,
+                AttackerModel::PhysicalBus,
+                AttackerModel::PhysicalBoot,
+            ]),
+            features: Features {
+                spatial_isolation: true,
+                temporal_isolation: true,
+                memory_encryption: true,
+                trust_anchor: true,
+                attestation: true,
+                sealed_storage: true,
+                // "Only two separated execution environments": the
+                // coprocessor is one fixed trusted environment.
+                max_trusted_domains: Some(1),
+                hosts_legacy_os: true,
+            },
+            // An L4-style microkernel plus fixed services.
+            tcb_loc: 15_000,
+        };
         Sep {
             machine,
-            fabric: Fabric::new(cost_model),
+            fabric: Fabric::new(cost_model, profile, rng),
             mems: BTreeMap::new(),
             attest_key,
-            rng,
-            profile: SubstrateProfile {
-                name: "sep".to_string(),
-                defends: models(&[
-                    AttackerModel::RemoteSoftware,
-                    AttackerModel::CompromisedOs,
-                    AttackerModel::MaliciousDevice,
-                    AttackerModel::PhysicalBus,
-                    AttackerModel::PhysicalBoot,
-                ]),
-                features: Features {
-                    spatial_isolation: true,
-                    temporal_isolation: true,
-                    memory_encryption: true,
-                    trust_anchor: true,
-                    attestation: true,
-                    sealed_storage: true,
-                    // "Only two separated execution environments": the
-                    // coprocessor is one fixed trusted environment.
-                    max_trusted_domains: Some(1),
-                    hosts_legacy_os: true,
-                },
-                // An L4-style microkernel plus fixed services.
-                tcb_loc: 15_000,
-            },
         }
     }
 
@@ -208,10 +205,6 @@ impl Sep {
 }
 
 impl BackendPolicy for Sep {
-    fn backend_profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -274,10 +267,6 @@ impl BackendPolicy for Sep {
             .ok_or(SubstrateError::NoSuchDomain(domain))?;
         mem.write(&mut self.machine, initiator, offset, data)
             .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
-    }
-
-    fn domain_rng(&mut self, domain: DomainId) -> u64 {
-        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(

@@ -65,8 +65,6 @@ pub struct Sgx {
     kstate: BTreeMap<DomainId, SgxDomain>,
     next_enclave: u32,
     quoting_key: SigningKey,
-    rng: Drbg,
-    profile: SubstrateProfile,
 }
 
 impl std::fmt::Debug for Sgx {
@@ -118,37 +116,36 @@ impl Sgx {
             c.copy_per_byte_num,
             c.copy_per_byte_den,
         );
+        let profile = SubstrateProfile {
+            name: "sgx".to_string(),
+            defends: models(&[
+                AttackerModel::RemoteSoftware,
+                AttackerModel::CompromisedOs,
+                AttackerModel::MaliciousDevice,
+                AttackerModel::PhysicalBus,
+                AttackerModel::PhysicalBoot,
+            ]),
+            features: Features {
+                spatial_isolation: true,
+                // §II-C: starvation issues and cache side channels.
+                temporal_isolation: false,
+                memory_encryption: true,
+                trust_anchor: true,
+                attestation: true,
+                sealed_storage: true,
+                max_trusted_domains: None,
+                hosts_legacy_os: true,
+            },
+            // "The equivalent of likely many thousands of lines of
+            // code" of microcode plus the architectural enclaves.
+            tcb_loc: 100_000,
+        };
         Sgx {
             machine,
-            fabric: Fabric::new(cost_model),
+            fabric: Fabric::new(cost_model, profile, rng),
             kstate: BTreeMap::new(),
             next_enclave: 1,
             quoting_key,
-            rng,
-            profile: SubstrateProfile {
-                name: "sgx".to_string(),
-                defends: models(&[
-                    AttackerModel::RemoteSoftware,
-                    AttackerModel::CompromisedOs,
-                    AttackerModel::MaliciousDevice,
-                    AttackerModel::PhysicalBus,
-                    AttackerModel::PhysicalBoot,
-                ]),
-                features: Features {
-                    spatial_isolation: true,
-                    // §II-C: starvation issues and cache side channels.
-                    temporal_isolation: false,
-                    memory_encryption: true,
-                    trust_anchor: true,
-                    attestation: true,
-                    sealed_storage: true,
-                    max_trusted_domains: None,
-                    hosts_legacy_os: true,
-                },
-                // "The equivalent of likely many thousands of lines of
-                // code" of microcode plus the architectural enclaves.
-                tcb_loc: 100_000,
-            },
         }
     }
 
@@ -255,10 +252,6 @@ impl Sgx {
 }
 
 impl BackendPolicy for Sgx {
-    fn backend_profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -345,10 +338,6 @@ impl BackendPolicy for Sgx {
         k.mem
             .write(&mut self.machine, initiator, offset, data)
             .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
-    }
-
-    fn domain_rng(&mut self, domain: DomainId) -> u64 {
-        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(

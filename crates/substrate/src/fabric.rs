@@ -4,9 +4,10 @@
 //! pricing, sealing dispatch, and attestation-evidence assembly. A
 //! backend is a [`BackendPolicy`] and nothing else: it contributes only
 //! *policy* (placement, the spawn charge, the invoke gate, its clock,
-//! memory access, domain randomness, seal/attest keys, its verifying key
-//! and profile), and the blanket `impl<B: BackendPolicy> Substrate for B`
-//! in this module gives it the whole [`Substrate`].
+//! memory access, seal/attest keys and its verifying key), and the
+//! blanket `impl<B: BackendPolicy> Substrate for B` in this module gives
+//! it the whole [`Substrate`]. What every backend merely *holds* — its
+//! profile and its DRBG — it hands its [`Fabric`] at construction.
 //!
 //! The paper's §III-A demand is a *single* unified isolation interface,
 //! and its TCB argument (§I) asks for that interface's implementation to
@@ -29,6 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use lateral_crypto::rng::Drbg;
 use lateral_crypto::sign::VerifyingKey;
 use lateral_crypto::Digest;
 use lateral_telemetry::profile::CrossingProfile;
@@ -596,11 +598,14 @@ fn cached_counter(
 }
 
 /// The per-substrate fabric state: the domain table (the single copy),
-/// the backend's cost model, the trace ring buffer, and the aggregate
-/// counters. Each backend owns exactly one `Fabric`.
+/// the backend's cost model, profile and DRBG, the trace ring buffer,
+/// and the aggregate counters. Each backend owns exactly one `Fabric`.
 pub struct Fabric {
     table: DomainTable,
     cost_model: CrossingCostModel,
+    profile: SubstrateProfile,
+    /// Forked once per [`Fabric::rng_u64`] draw; nothing else reads it.
+    rng: Drbg,
     trace: VecDeque<TraceEvent>,
     trace_capacity: usize,
     next_seq: u64,
@@ -629,20 +634,18 @@ impl std::fmt::Debug for Fabric {
 }
 
 impl Fabric {
-    /// An empty fabric charging crossings by `cost_model`, with the
-    /// default trace capacity.
-    pub fn new(cost_model: CrossingCostModel) -> Fabric {
-        Fabric::with_trace_capacity(cost_model, DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// An empty fabric charging crossings by `cost_model`, retaining up
-    /// to `capacity` trace events.
-    pub fn with_trace_capacity(cost_model: CrossingCostModel, capacity: usize) -> Fabric {
+    /// An empty fabric for a backend described by `profile`, charging
+    /// crossings by `cost_model` and drawing domain randomness from
+    /// `rng`, with the default trace capacity. A backend that derives
+    /// keys from its DRBG draws them before handing it over.
+    pub fn new(cost_model: CrossingCostModel, profile: SubstrateProfile, rng: Drbg) -> Fabric {
         Fabric {
             table: DomainTable::new(),
             cost_model,
-            trace: VecDeque::with_capacity(capacity.min(DEFAULT_TRACE_CAPACITY)),
-            trace_capacity: capacity.max(1),
+            profile,
+            rng,
+            trace: VecDeque::with_capacity(DEFAULT_TRACE_CAPACITY),
+            trace_capacity: DEFAULT_TRACE_CAPACITY,
             next_seq: 0,
             stats: FabricStats::default(),
             faults: FaultPlan::new(),
@@ -652,6 +655,32 @@ impl Fabric {
             grant_labels: BTreeMap::new(),
             metric_ids: FabricMetricIds::default(),
         }
+    }
+
+    /// The same fabric retaining up to `capacity` trace events.
+    #[must_use]
+    pub fn with_trace_capacity(mut self, capacity: usize) -> Fabric {
+        self.trace = VecDeque::with_capacity(capacity.min(DEFAULT_TRACE_CAPACITY));
+        self.trace_capacity = capacity.max(1);
+        self
+    }
+
+    /// The backend's self-description, served as [`Substrate::profile`].
+    pub fn profile(&self) -> &SubstrateProfile {
+        &self.profile
+    }
+
+    /// The profile, writable — for a backend whose features change
+    /// after construction (a microkernel provisioned with an attestation
+    /// identity).
+    pub fn profile_mut(&mut self) -> &mut SubstrateProfile {
+        &mut self.profile
+    }
+
+    /// Domain-scoped randomness, served as [`Substrate::rng_u64`]: the
+    /// first word of a fresh `domain-{id}` fork of the fabric's DRBG.
+    pub fn rng_u64(&mut self, domain: DomainId) -> u64 {
+        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     /// The domain table (read side).
@@ -980,21 +1009,21 @@ impl Fabric {
 
 /// What a backend contributes — the policy that really differs between
 /// isolation mechanisms — and nothing else: placement, the spawn
-/// charge, the invoke gate, its clock, memory access, domain
-/// randomness, seal/attest keys, its verifying key and its profile.
-/// The blanket `impl<B: BackendPolicy> Substrate for B` below is the
-/// engine that turns these hooks into the whole [`Substrate`]; crossing
-/// kinds and prices come from the [`CrossingCostModel`] the backend gave
-/// its [`Fabric`].
+/// charge, the invoke gate, its clock, memory access, seal/attest keys
+/// and its verifying key. The blanket `impl<B: BackendPolicy> Substrate
+/// for B` below is the engine that turns these hooks into the whole
+/// [`Substrate`]; crossing kinds and prices come from the
+/// [`CrossingCostModel`] the backend gave its [`Fabric`], and the
+/// profile and domain randomness from the fabric too.
 ///
 /// Hook names differ from the [`Substrate`] methods they serve
-/// (`clock` for `now`, `read_mem` for `mem_read`, …), so a call site
-/// with both traits in scope is never ambiguous.
+/// (`clock` for `now`, `read_mem` for `mem_read`, …). `fabric` and
+/// `fabric_mut` are the exception: the engine serves the `Substrate`
+/// accessors of the same names from them, so on a concrete backend
+/// with both traits in scope, name the trait (`Substrate::fabric(&b)`).
 pub trait BackendPolicy: Send {
-    /// The backend's self-description, served as [`Substrate::profile`].
-    fn backend_profile(&self) -> &SubstrateProfile;
-
-    /// The backend's fabric (domain table, trace, stats, cost model).
+    /// The backend's fabric (domain table, trace, stats, cost model,
+    /// profile, DRBG), served as [`Substrate::fabric`].
     fn fabric(&self) -> &Fabric;
 
     /// Mutable access to the backend's fabric.
@@ -1081,10 +1110,6 @@ pub trait BackendPolicy: Send {
         data: &[u8],
     ) -> Result<(), SubstrateError>;
 
-    /// Domain-scoped randomness, deterministic per run, served as
-    /// [`Substrate::rng_u64`].
-    fn domain_rng(&mut self, domain: DomainId) -> u64;
-
     /// Seals `data` to `measurement` for `domain` — key derivation is
     /// the backend's (EGETKEY, fused root, TPM session, …).
     ///
@@ -1136,36 +1161,100 @@ pub trait BackendPolicy: Send {
 /// Bytes in one page of heap domain memory.
 const PAGE: usize = 4096;
 
-/// [`BackendPolicy::place`] for a backend that keeps each domain's
-/// memory as one zeroed heap buffer indexed by domain id: appends the
-/// buffer for domain `id`, of `pages` pages (at least one, as on every
-/// backend), to `memories`.
-///
-/// # Errors
-///
-/// [`SubstrateError::OutOfResources`] when the byte size overflows or
-/// the allocator refuses it. An empty slot is appended even then: the
-/// engine consumes the id of a refused spawn, and the slots must stay
-/// aligned with the ids.
-pub fn place_heap_memory(
-    memories: &mut Vec<Vec<u8>>,
-    id: DomainId,
-    pages: usize,
-) -> Result<(), SubstrateError> {
-    // Ids are dense and never reused.
-    debug_assert_eq!(id.0 as usize, memories.len());
-    let mut mem = Vec::new();
-    let placed = match pages.max(1).checked_mul(PAGE) {
-        Some(bytes) if mem.try_reserve_exact(bytes).is_ok() => {
-            mem.resize(bytes, 0);
-            Ok(())
+/// Each domain's private memory as one zeroed heap buffer, indexed by
+/// domain id: placement, scrubbing and range-checked access for the
+/// backends without an MMU (software and Flicker), as
+/// `hw::mmu::DomainMemory` is for the other four. The backend checks
+/// that the domain is live before reading or writing.
+#[derive(Default)]
+pub struct HeapMemory {
+    buffers: Vec<Vec<u8>>,
+}
+
+impl HeapMemory {
+    /// [`BackendPolicy::place`] for heap memory: appends domain `id`'s
+    /// buffer of `pages` pages (at least one, as on every backend).
+    ///
+    /// # Errors
+    ///
+    /// [`SubstrateError::OutOfResources`] when the byte size overflows or
+    /// the allocator refuses it. An empty buffer is appended even then:
+    /// the engine consumes the id of a refused spawn, and the buffers
+    /// must stay aligned with the ids.
+    pub fn place(&mut self, id: DomainId, pages: usize) -> Result<(), SubstrateError> {
+        // Ids are dense and never reused.
+        debug_assert_eq!(id.0 as usize, self.buffers.len());
+        let mut mem = Vec::new();
+        let placed = match pages.max(1).checked_mul(PAGE) {
+            Some(bytes) if mem.try_reserve_exact(bytes).is_ok() => {
+                mem.resize(bytes, 0);
+                Ok(())
+            }
+            _ => Err(SubstrateError::OutOfResources(format!(
+                "no heap memory for {pages} pages"
+            ))),
+        };
+        self.buffers.push(mem);
+        placed
+    }
+
+    /// [`BackendPolicy::unplace`] for heap memory: zeroes domain `id`'s
+    /// buffer.
+    pub fn scrub(&mut self, id: DomainId) {
+        if let Some(mem) = self.buffers.get_mut(id.0 as usize) {
+            mem.fill(0);
         }
-        _ => Err(SubstrateError::OutOfResources(format!(
-            "no heap memory for {pages} pages"
-        ))),
-    };
-    memories.push(mem);
-    placed
+    }
+
+    /// Copies `len` bytes at `offset` out of domain `id`'s buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`SubstrateError::AccessDenied`] for a range outside the buffer;
+    /// [`SubstrateError::NoSuchDomain`] for an id never placed.
+    #[inline]
+    pub fn read(&self, id: DomainId, offset: usize, len: usize) -> Result<Vec<u8>, SubstrateError> {
+        let mem = self
+            .buffers
+            .get(id.0 as usize)
+            .ok_or(SubstrateError::NoSuchDomain(id))?;
+        Ok(mem[heap_range(mem, offset, len)?].to_vec())
+    }
+
+    /// Copies `data` into domain `id`'s buffer at `offset`.
+    ///
+    /// # Errors
+    ///
+    /// As [`HeapMemory::read`].
+    #[inline]
+    pub fn write(
+        &mut self,
+        id: DomainId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), SubstrateError> {
+        let mem = self
+            .buffers
+            .get_mut(id.0 as usize)
+            .ok_or(SubstrateError::NoSuchDomain(id))?;
+        let range = heap_range(mem, offset, data.len())?;
+        mem[range].copy_from_slice(data);
+        Ok(())
+    }
+}
+
+/// `offset..offset + len` when that lies within `mem`.
+#[inline]
+fn heap_range(
+    mem: &[u8],
+    offset: usize,
+    len: usize,
+) -> Result<std::ops::Range<usize>, SubstrateError> {
+    offset
+        .checked_add(len)
+        .filter(|&end| end <= mem.len())
+        .map(|end| offset..end)
+        .ok_or_else(|| SubstrateError::AccessDenied("heap memory access out of range".into()))
 }
 
 /// Engine: creates a domain of placement `kind` — inserts the record,
@@ -1444,10 +1533,6 @@ fn run_component<B: BackendPolicy>(
 /// calls here, in [`DomainTable`] and in [`FaultPlan`] are `#[inline]` so
 /// they inline there too.
 impl<B: BackendPolicy> Substrate for B {
-    fn profile(&self) -> &SubstrateProfile {
-        self.backend_profile()
-    }
-
     fn spawn(
         &mut self,
         spec: DomainSpec,
@@ -1770,7 +1855,7 @@ impl<B: BackendPolicy> Substrate for B {
     }
 
     fn rng_u64(&mut self, domain: DomainId) -> u64 {
-        self.domain_rng(domain)
+        self.fabric_mut().rng_u64(domain)
     }
 
     fn now(&self) -> u64 {
@@ -1794,16 +1879,12 @@ impl<B: BackendPolicy> Substrate for B {
             .collect())
     }
 
-    fn fabric_ref(&self) -> Option<&Fabric> {
-        Some(self.fabric())
+    fn fabric(&self) -> &Fabric {
+        BackendPolicy::fabric(self)
     }
 
-    fn fabric_mut_ref(&mut self) -> Option<&mut Fabric> {
-        Some(self.fabric_mut())
-    }
-
-    fn cost_model(&self) -> Option<CrossingCostModel> {
-        Some(self.fabric().cost_model().clone())
+    fn fabric_mut(&mut self) -> &mut Fabric {
+        BackendPolicy::fabric_mut(self)
     }
 }
 
@@ -1811,8 +1892,13 @@ impl<B: BackendPolicy> Substrate for B {
 mod tests {
     use super::*;
 
-    fn free_model() -> CrossingCostModel {
-        CrossingCostModel::uniform(0, 0, 1, InvokeKindRule::Always(CrossingKind::Local))
+    fn free_fabric() -> Fabric {
+        let software = crate::software::SoftwareSubstrate::new("test");
+        Fabric::new(
+            CrossingCostModel::uniform(0, 0, 1, InvokeKindRule::Always(CrossingKind::Local)),
+            software.profile().clone(),
+            Drbg::from_seed(b"test"),
+        )
     }
 
     #[test]
@@ -1838,7 +1924,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_caps_retention_but_not_seq() {
-        let mut f = Fabric::with_trace_capacity(free_model(), 2);
+        let mut f = free_fabric().with_trace_capacity(2);
         for i in 0..5u64 {
             let seq = f.next_seq();
             f.record(
@@ -1865,7 +1951,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_per_domain_channel_and_crossing() {
-        let mut f = Fabric::new(free_model());
+        let mut f = free_fabric();
         let seq = f.next_seq();
         f.record(
             TraceEvent {

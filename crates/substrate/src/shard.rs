@@ -37,11 +37,10 @@ use lateral_crypto::sign::VerifyingKey;
 use lateral_crypto::Digest;
 use lateral_telemetry::{outcome as span_outcome, LabelId, MetricsRegistry};
 
-use crate::attacker::SubstrateProfile;
 use crate::attest::AttestationEvidence;
 use crate::cap::{Badge, ChannelCap};
 use crate::component::Component;
-use crate::fabric::{CrossingKind, TraceEvent, TraceOutcome};
+use crate::fabric::{CrossingCostModel, CrossingKind, Fabric, TraceEvent, TraceOutcome};
 use crate::substrate::{DomainSpec, Substrate};
 use crate::testkit::Echo;
 use crate::{DomainId, SubstrateError};
@@ -99,7 +98,7 @@ struct XGrant {
     /// Caller-shard interned `xshard invoke {target}` span label,
     /// cached at grant time so the invoke hot path stays allocation
     /// free.
-    label: Option<LabelId>,
+    label: LabelId,
     revoked: bool,
 }
 
@@ -123,8 +122,8 @@ pub struct MergedEvent {
 /// Surface-level domain ids are global (dense, spawn-ordered, never
 /// reused); the fabric routes each operation to the owning shard and
 /// translates ids at the boundary. Surface-level `profile()`, `now()`,
-/// `fabric_ref()`, and `telemetry_ref()` anchor on shard 0 — exact for
-/// N=1 and the fault-plan/supervision anchor for N>1.
+/// `fabric()`, and `telemetry()` anchor on shard 0 — exact for N=1 and
+/// the fault-plan/supervision anchor for N>1.
 pub struct ShardFabric {
     shards: Vec<Box<dyn Substrate>>,
     /// Global id → route; index is the global id, `None` after destroy.
@@ -202,11 +201,8 @@ impl ShardFabric {
     /// cross-shard ordering points of the deterministic merge.
     pub fn advance_epoch(&mut self) {
         self.epoch += 1;
-        for s in 0..self.shards.len() {
-            let watermark = self.shards[s]
-                .fabric_ref()
-                .map_or(0, |f| f.events_recorded());
-            self.marks[s].push(watermark);
+        for (shard, marks) in self.shards.iter().zip(&mut self.marks) {
+            marks.push(shard.fabric().events_recorded());
         }
     }
 
@@ -250,14 +246,12 @@ impl ShardFabric {
     pub fn merged_trace(&self) -> Vec<MergedEvent> {
         let mut out = Vec::new();
         for (s, shard) in self.shards.iter().enumerate() {
-            if let Some(fabric) = shard.fabric_ref() {
-                for event in fabric.trace() {
-                    out.push(MergedEvent {
-                        epoch: epoch_of(&self.marks[s], event.seq),
-                        shard: ShardId(s as u32),
-                        event: event.clone(),
-                    });
-                }
+            for event in shard.fabric().trace() {
+                out.push(MergedEvent {
+                    epoch: epoch_of(&self.marks[s], event.seq),
+                    shard: ShardId(s as u32),
+                    event: event.clone(),
+                });
             }
         }
         out.sort_by_key(|m| (m.epoch, m.shard, m.event.seq));
@@ -306,9 +300,7 @@ impl ShardFabric {
     pub fn merged_metrics(&self) -> MetricsRegistry {
         let mut merged = MetricsRegistry::new();
         for shard in &self.shards {
-            if let Some(telemetry) = shard.telemetry_ref() {
-                merged.absorb(telemetry.metrics());
-            }
+            merged.absorb(shard.telemetry().metrics());
         }
         merged
     }
@@ -318,7 +310,7 @@ impl ShardFabric {
     /// [`lateral_telemetry::Telemetry::tree_digest`].
     #[must_use]
     pub fn merged_tree_digest(&self) -> Digest {
-        lateral_telemetry::merged_tree_digest(self.shards.iter().filter_map(|s| s.telemetry_ref()))
+        lateral_telemetry::merged_tree_digest(self.shards.iter().map(|s| s.telemetry()))
     }
 
     /// Every shard's crossing profile merged edge-wise (see
@@ -330,9 +322,7 @@ impl ShardFabric {
     pub fn merged_crossing_profile(&self) -> lateral_telemetry::profile::CrossingProfile {
         let mut merged = lateral_telemetry::profile::CrossingProfile::new();
         for shard in &self.shards {
-            if let Some(p) = shard.crossing_profile() {
-                merged.absorb(&p);
-            }
+            merged.absorb(&shard.crossing_profile());
         }
         merged
     }
@@ -389,9 +379,9 @@ impl ShardFabric {
     }
 
     fn note_denial_on(&mut self, r: Route) {
-        if let Some(fabric) = self.shards[r.shard as usize].fabric_mut_ref() {
-            fabric.note_denial(r.local);
-        }
+        self.shards[r.shard as usize]
+            .fabric_mut()
+            .note_denial(r.local);
     }
 
     /// The cross-shard invocation path: validate the fabric-level
@@ -440,45 +430,33 @@ impl ShardFabric {
         // Fail-stop window, mirrored from the engine: a call into an
         // already-crashed remote domain is refused on the caller's
         // shard, with a zero-cost Crashed event and an instant span.
-        let target_crashed = self.shards[rt.shard as usize]
-            .fabric_ref()
-            .is_some_and(|f| f.is_crashed(rt.local));
-        if target_crashed {
+        if self.shards[rt.shard as usize].fabric().is_crashed(rt.local) {
             let at = self.shards[r.shard as usize].now();
-            if let Some(fabric) = self.shards[r.shard as usize].fabric_mut_ref() {
-                fabric.note_denial(r.local);
-                let event = TraceEvent {
-                    seq: fabric.next_seq(),
-                    at,
-                    caller: r.local,
-                    callee: grant.to,
-                    badge: grant.badge,
-                    bytes: data.len() as u64,
-                    crossing: CrossingKind::Shard,
-                    cost: 0,
-                    outcome: TraceOutcome::Crashed,
-                };
-                fabric.record_fault(event);
-                if let Some(label) = grant.label {
-                    fabric.telemetry_mut().instant_label(
-                        label,
-                        "fabric",
-                        at,
-                        span_outcome::CRASHED,
-                    );
-                }
-            }
+            let fabric = self.shards[r.shard as usize].fabric_mut();
+            fabric.note_denial(r.local);
+            let event = TraceEvent {
+                seq: fabric.next_seq(),
+                at,
+                caller: r.local,
+                callee: grant.to,
+                badge: grant.badge,
+                bytes: data.len() as u64,
+                crossing: CrossingKind::Shard,
+                cost: 0,
+                outcome: TraceOutcome::Crashed,
+            };
+            fabric.record_fault(event);
+            fabric
+                .telemetry_mut()
+                .instant_label(grant.label, "fabric", at, span_outcome::CRASHED);
             return Err(SubstrateError::DomainCrashed(grant.to));
         }
         let cost = xshard_cost(data.len());
         self.shards[r.shard as usize].charge_cycles(cost);
         let at = self.shards[r.shard as usize].now();
-        let span = match grant.label {
-            Some(label) => self.shards[r.shard as usize]
-                .telemetry_mut_ref()
-                .map(|t| t.begin_span_label(label, "fabric", at)),
-            None => None,
-        };
+        let span = self.shards[r.shard as usize]
+            .telemetry_mut()
+            .begin_span_label(grant.label, "fabric", at);
         let ingress = self.ingress[rt.shard as usize].ok_or_else(|| {
             SubstrateError::Platform(format!("{} has no ingress domain", ShardId(rt.shard)))
         })?;
@@ -494,31 +472,26 @@ impl ShardFabric {
             Err(_) => (TraceOutcome::Failed, 0, span_outcome::FAILED),
         };
         let span_end = self.shards[r.shard as usize].now();
-        if let Some(span) = span {
-            if let Some(telemetry) = self.shards[r.shard as usize].telemetry_mut_ref() {
-                telemetry.end_span(span, span_end, span_code);
+        let fabric = self.shards[r.shard as usize].fabric_mut();
+        fabric.telemetry_mut().end_span(span, span_end, span_code);
+        let event = TraceEvent {
+            seq: fabric.next_seq(),
+            at,
+            caller: r.local,
+            callee: grant.to,
+            badge: grant.badge,
+            bytes: data.len() as u64,
+            crossing: CrossingKind::Shard,
+            cost,
+            outcome,
+        };
+        match outcome {
+            TraceOutcome::Crashed => fabric.record_fault(event),
+            TraceOutcome::Reentrancy => {
+                fabric.note_reentrancy(r.local);
+                fabric.record(event, cap.slot, reply_bytes);
             }
-        }
-        if let Some(fabric) = self.shards[r.shard as usize].fabric_mut_ref() {
-            let event = TraceEvent {
-                seq: fabric.next_seq(),
-                at,
-                caller: r.local,
-                callee: grant.to,
-                badge: grant.badge,
-                bytes: data.len() as u64,
-                crossing: CrossingKind::Shard,
-                cost,
-                outcome,
-            };
-            match outcome {
-                TraceOutcome::Crashed => fabric.record_fault(event),
-                TraceOutcome::Reentrancy => {
-                    fabric.note_reentrancy(r.local);
-                    fabric.record(event, cap.slot, reply_bytes);
-                }
-                _ => fabric.record(event, cap.slot, reply_bytes),
-            }
+            _ => fabric.record(event, cap.slot, reply_bytes),
         }
         // Remote-side errors carry target-shard-local ids; remap onto
         // the global target the caller named.
@@ -531,10 +504,6 @@ impl ShardFabric {
 }
 
 impl Substrate for ShardFabric {
-    fn profile(&self) -> &SubstrateProfile {
-        self.shards[0].profile()
-    }
-
     fn spawn(
         &mut self,
         spec: DomainSpec,
@@ -591,8 +560,8 @@ impl Substrate for ShardFabric {
             .domain_name(rt.local)
             .unwrap_or_else(|_| to.to_string());
         let label = self.shards[rf.shard as usize]
-            .telemetry_mut_ref()
-            .map(|t| t.intern(&format!("xshard invoke {to_name}")));
+            .telemetry_mut()
+            .intern(&format!("xshard invoke {to_name}"));
         let idx = self.xgrants.len();
         let nonce = idx as u64 + 1;
         self.xgrants.push(XGrant {
@@ -786,25 +755,25 @@ impl Substrate for ShardFabric {
         Ok(caps)
     }
 
-    fn fabric_ref(&self) -> Option<&crate::fabric::Fabric> {
-        self.shards[0].fabric_ref()
+    fn fabric(&self) -> &Fabric {
+        self.shards[0].fabric()
     }
 
-    fn fabric_mut_ref(&mut self) -> Option<&mut crate::fabric::Fabric> {
-        self.shards[0].fabric_mut_ref()
+    fn fabric_mut(&mut self) -> &mut Fabric {
+        self.shards[0].fabric_mut()
     }
 
-    fn cost_model(&self) -> Option<crate::fabric::CrossingCostModel> {
+    fn cost_model(&self) -> CrossingCostModel {
         // The intra-shard entries are the anchor backend's; the
         // `xshard` row is the shard runtime's backend-invariant hop
         // cost.
-        let mut m = self.shards[0].cost_model()?;
-        m.set(crate::fabric::CrossingKind::Shard, XSHARD_BASE_COST, 1, 32);
-        Some(m)
+        let mut m = self.shards[0].cost_model();
+        m.set(CrossingKind::Shard, XSHARD_BASE_COST, 1, 32);
+        m
     }
 
-    fn crossing_profile(&self) -> Option<lateral_telemetry::profile::CrossingProfile> {
-        Some(self.merged_crossing_profile())
+    fn crossing_profile(&self) -> lateral_telemetry::profile::CrossingProfile {
+        self.merged_crossing_profile()
     }
 }
 
@@ -904,8 +873,8 @@ impl ShardMut<'_> {
     }
 
     /// The shard engine's telemetry (metrics and spans).
-    pub fn telemetry_mut(&mut self) -> Option<&mut lateral_telemetry::Telemetry> {
-        self.engine.telemetry_mut_ref()
+    pub fn telemetry_mut(&mut self) -> &mut lateral_telemetry::Telemetry {
+        self.engine.telemetry_mut()
     }
 }
 
@@ -963,7 +932,7 @@ mod tests {
         let mut sharded = ShardFabric::new(vec![Box::new(SoftwareSubstrate::new("ref"))]);
         workload(&mut sharded);
 
-        let raw_fabric = raw.fabric_ref().unwrap();
+        let raw_fabric = Substrate::fabric(&raw);
         assert_eq!(
             sharded.merged_trace_bytes(),
             raw_fabric.trace_bytes(),
@@ -1019,7 +988,7 @@ mod tests {
 
         // Caller shard recorded the Shard crossing against the global
         // callee id, with the cross-shard cost-ladder charge.
-        let f0 = fab.shard(ShardId(0)).fabric_ref().unwrap();
+        let f0 = fab.shard(ShardId(0)).fabric();
         let last = f0.trace().last().unwrap();
         assert_eq!(last.crossing, CrossingKind::Shard);
         assert_eq!(last.callee, svc);
@@ -1028,7 +997,7 @@ mod tests {
         let xstats = f0.stats().crossing(CrossingKind::Shard).unwrap();
         assert_eq!(xstats.count, 1);
         // Target shard dispatched it as a local ingress call.
-        let f1 = fab.shard(ShardId(1)).fabric_ref().unwrap();
+        let f1 = fab.shard(ShardId(1)).fabric();
         assert!(f1.trace().any(|e| e.crossing == CrossingKind::Local));
         // Metrics carry the new crossing family.
         let merged = fab.merged_metrics();
@@ -1048,7 +1017,7 @@ mod tests {
         fab.revoke_channel(&cap).unwrap();
         let err = fab.invoke(client, &cap, b"x").unwrap_err();
         assert!(matches!(err, SubstrateError::InvalidCapability(_)));
-        let f0 = fab.shard(ShardId(0)).fabric_ref().unwrap();
+        let f0 = fab.shard(ShardId(0)).fabric();
         assert_eq!(
             f0.stats().total_denials(),
             1,

@@ -13,8 +13,8 @@
 //! Besides being paper-faithful, this substrate is the fast reference
 //! implementation used by unit tests throughout the workspace, and the
 //! reference [`BackendPolicy`]: all mechanism lives in [`crate::fabric`];
-//! this file contributes only heap placement, the trivial cost model it
-//! hands its fabric, and HKDF-based sealing.
+//! this file contributes only heap placement, the trivial cost model and
+//! the profile it hands its fabric, and HKDF-based sealing.
 //!
 //! [`AttackerModel::RemoteSoftware`]: crate::attacker::AttackerModel::RemoteSoftware
 
@@ -26,18 +26,15 @@ use lateral_crypto::Digest;
 use crate::attacker::{models, AttackerModel, Features, SubstrateProfile};
 use crate::attest::AttestationEvidence;
 use crate::fabric::{
-    place_heap_memory, BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric,
-    InvokeKindRule,
+    BackendPolicy, CrossingCostModel, CrossingKind, DomainKind, Fabric, HeapMemory, InvokeKindRule,
 };
 use crate::{DomainId, SubstrateError};
 
 /// The pure-software substrate.
 pub struct SoftwareSubstrate {
-    profile: SubstrateProfile,
     fabric: Fabric,
-    memories: Vec<Vec<u8>>,
+    memory: HeapMemory,
     seal_secret: [u8; 32],
-    rng: Drbg,
     clock: u64,
 }
 
@@ -56,34 +53,30 @@ impl SoftwareSubstrate {
     pub fn new(seed: &str) -> SoftwareSubstrate {
         let mut rng = Drbg::from_seed(seed.as_bytes());
         let seal_secret = rng.gen_key();
-        SoftwareSubstrate {
-            profile: SubstrateProfile {
-                name: "software".to_string(),
-                defends: models(&[AttackerModel::RemoteSoftware]),
-                features: Features {
-                    spatial_isolation: true,
-                    temporal_isolation: false,
-                    memory_encryption: false,
-                    trust_anchor: false,
-                    attestation: false,
-                    sealed_storage: true,
-                    max_trusted_domains: None,
-                    hosts_legacy_os: false,
-                },
-                // The TCB is the compiler; rustc is on the order of
-                // millions of lines.
-                tcb_loc: 1_500_000,
+        let profile = SubstrateProfile {
+            name: "software".to_string(),
+            defends: models(&[AttackerModel::RemoteSoftware]),
+            features: Features {
+                spatial_isolation: true,
+                temporal_isolation: false,
+                memory_encryption: false,
+                trust_anchor: false,
+                attestation: false,
+                sealed_storage: true,
+                max_trusted_domains: None,
+                hosts_legacy_os: false,
             },
-            // Every crossing is a dynamic dispatch: 5 cycles + bytes/64.
-            fabric: Fabric::new(CrossingCostModel::uniform(
-                5,
-                1,
-                64,
-                InvokeKindRule::Always(CrossingKind::Local),
-            )),
-            memories: Vec::new(),
+            // The TCB is the compiler; rustc is on the order of
+            // millions of lines.
+            tcb_loc: 1_500_000,
+        };
+        // Every crossing is a dynamic dispatch: 5 cycles + bytes/64.
+        let cost_model =
+            CrossingCostModel::uniform(5, 1, 64, InvokeKindRule::Always(CrossingKind::Local));
+        SoftwareSubstrate {
+            fabric: Fabric::new(cost_model, profile, rng),
+            memory: HeapMemory::default(),
             seal_secret,
-            rng,
             clock: 0,
         }
     }
@@ -98,10 +91,6 @@ impl SoftwareSubstrate {
 }
 
 impl BackendPolicy for SoftwareSubstrate {
-    fn backend_profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -112,13 +101,11 @@ impl BackendPolicy for SoftwareSubstrate {
 
     fn place(&mut self, id: DomainId, _kind: DomainKind) -> Result<(), SubstrateError> {
         let pages = self.fabric.table().get(id)?.spec.mem_pages;
-        place_heap_memory(&mut self.memories, id, pages)
+        self.memory.place(id, pages)
     }
 
     fn unplace(&mut self, id: DomainId) {
-        if let Some(mem) = self.memories.get_mut(id.0 as usize) {
-            mem.fill(0); // scrub
-        }
+        self.memory.scrub(id);
     }
 
     fn charge_spawn(&mut self, _id: DomainId) -> Result<(), SubstrateError> {
@@ -141,13 +128,9 @@ impl BackendPolicy for SoftwareSubstrate {
         len: usize,
     ) -> Result<Vec<u8>, SubstrateError> {
         self.fabric.table().get(domain)?;
-        let mem = &self.memories[domain.0 as usize];
-        let end = offset
-            .checked_add(len)
-            .filter(|e| *e <= mem.len())
-            .ok_or_else(|| SubstrateError::AccessDenied("memory read out of range".into()))?;
+        let bytes = self.memory.read(domain, offset, len)?;
         self.clock += 1;
-        Ok(mem[offset..end].to_vec())
+        Ok(bytes)
     }
 
     fn write_mem(
@@ -157,18 +140,9 @@ impl BackendPolicy for SoftwareSubstrate {
         data: &[u8],
     ) -> Result<(), SubstrateError> {
         self.fabric.table().get(domain)?;
-        let mem = &mut self.memories[domain.0 as usize];
-        let end = offset
-            .checked_add(data.len())
-            .filter(|e| *e <= mem.len())
-            .ok_or_else(|| SubstrateError::AccessDenied("memory write out of range".into()))?;
-        mem[offset..end].copy_from_slice(data);
+        self.memory.write(domain, offset, data)?;
         self.clock += 1;
         Ok(())
-    }
-
-    fn domain_rng(&mut self, domain: DomainId) -> u64 {
-        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(
@@ -379,15 +353,7 @@ mod tests {
         }
         assert_eq!(s.invoke(driver, &driver_cap, b"go").unwrap(), b"blocked");
         // The failed self-call was counted as a reentrancy fault against a.
-        assert_eq!(
-            s.fabric_ref()
-                .unwrap()
-                .stats()
-                .domain(a)
-                .unwrap()
-                .reentrancy_faults,
-            1
-        );
+        assert_eq!(s.fabric.stats().domain(a).unwrap().reentrancy_faults, 1);
     }
 
     #[test]
@@ -431,7 +397,7 @@ mod tests {
         let cap = s.grant_channel(a, b, Badge(4)).unwrap();
         s.invoke(a, &cap, b"ping").unwrap();
         s.invoke(a, &cap, b"pong!").unwrap();
-        let fab = s.fabric_ref().unwrap();
+        let fab = &s.fabric;
         assert_eq!(fab.events_recorded(), 2);
         let events: Vec<_> = fab.trace().collect();
         assert_eq!(events[0].caller, a);
@@ -455,7 +421,7 @@ mod tests {
             for i in 0..10u8 {
                 s.invoke(a, &cap, &vec![i; i as usize]).unwrap();
             }
-            s.fabric_ref().unwrap().trace_bytes()
+            s.fabric.trace_bytes()
         };
         assert_eq!(run(), run());
     }

@@ -14,12 +14,14 @@
 
 use lateral_crypto::sign::VerifyingKey;
 use lateral_crypto::Digest;
+use lateral_telemetry::profile::CrossingProfile;
+use lateral_telemetry::Telemetry;
 
 use crate::attacker::SubstrateProfile;
 use crate::attest::AttestationEvidence;
 use crate::cap::{Badge, CapTable, ChannelCap};
 use crate::component::Component;
-use crate::fabric::DomainKind;
+use crate::fabric::{CrossingCostModel, DomainKind, Fabric};
 use crate::{DomainId, SubstrateError};
 
 /// Everything needed to create a protection domain hosting one component.
@@ -85,8 +87,10 @@ impl DomainSpec {
 /// [`crate::shard::ShardFabric`] can be driven from a thread of its own.
 pub trait Substrate: Send {
     /// The backend's self-description (defended attacker models,
-    /// features, TCB size).
-    fn profile(&self) -> &SubstrateProfile;
+    /// features, TCB size), held by its fabric.
+    fn profile(&self) -> &SubstrateProfile {
+        self.fabric().profile()
+    }
 
     /// Creates an isolated domain running `component` and invokes its
     /// `on_start` hook.
@@ -242,7 +246,8 @@ pub trait Substrate: Send {
         data: &[u8],
     ) -> Result<(), SubstrateError>;
 
-    /// Domain-scoped randomness (deterministic per run).
+    /// Domain-scoped randomness (deterministic per run): a fresh fork
+    /// of the fabric's DRBG per draw.
     fn rng_u64(&mut self, domain: DomainId) -> u64;
 
     /// Current logical time in cycles.
@@ -263,46 +268,58 @@ pub trait Substrate: Send {
     /// [`SubstrateError::NoSuchDomain`].
     fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError>;
 
-    /// The backend's [`crate::fabric::Fabric`] — trace buffer and
-    /// [`crate::fabric::FabricStats`] counters. Experiments read
-    /// crossing counts and byte volumes through this without giving up
-    /// object safety. Every implementor returns `Some`.
-    fn fabric_ref(&self) -> Option<&crate::fabric::Fabric>;
+    /// The backend's [`crate::fabric::Fabric`] — domain table, trace
+    /// buffer, [`crate::fabric::FabricStats`] counters, profile and
+    /// telemetry. Experiments read crossing counts and byte volumes
+    /// through this without giving up object safety.
+    fn fabric(&self) -> &Fabric;
 
     /// Mutable access to the backend's fabric — how supervisors and
     /// fault-injection harnesses install a [`crate::fault::FaultPlan`]
     /// through the object-safe interface without knowing the concrete
-    /// backend type. Every implementor returns `Some`.
-    fn fabric_mut_ref(&mut self) -> Option<&mut crate::fabric::Fabric>;
+    /// backend type.
+    fn fabric_mut(&mut self) -> &mut Fabric;
 
     /// The backend's causal telemetry collector — spans for every
-    /// engine operation plus the unified metrics registry, reached
-    /// through [`Substrate::fabric_ref`].
-    fn telemetry_ref(&self) -> Option<&lateral_telemetry::Telemetry> {
-        self.fabric_ref().map(|f| f.telemetry())
+    /// engine operation plus the unified metrics registry.
+    fn telemetry(&self) -> &Telemetry {
+        self.fabric().telemetry()
     }
 
     /// Mutable telemetry access — how the composer, supervisor, and
     /// experiments open enclosing spans on a backend's collector
     /// through the object-safe interface.
-    fn telemetry_mut_ref(&mut self) -> Option<&mut lateral_telemetry::Telemetry> {
-        self.fabric_mut_ref().map(|f| f.telemetry_mut())
+    fn telemetry_mut(&mut self) -> &mut Telemetry {
+        self.fabric_mut().telemetry_mut()
     }
 
     /// The backend's crossing-cost table as data (see
-    /// [`crate::fabric::CrossingCostModel`]) — the table the engine
-    /// charges from, and what the placement optimizer prices
-    /// hypothetical placements against. Every implementor returns
-    /// `Some`.
-    fn cost_model(&self) -> Option<crate::fabric::CrossingCostModel>;
+    /// [`CrossingCostModel`]) — the table the engine charges from, and
+    /// what the placement optimizer prices hypothetical placements
+    /// against.
+    fn cost_model(&self) -> CrossingCostModel {
+        self.fabric().cost_model().clone()
+    }
 
     /// The crossing profile folded from the backend's retained trace —
-    /// per-edge cost histograms and byte totals (see
-    /// [`lateral_telemetry::profile::CrossingProfile`]). Defaults to
-    /// delegating through [`Substrate::fabric_ref`]; the sharded
-    /// fabric overrides it with its merged profile.
-    fn crossing_profile(&self) -> Option<lateral_telemetry::profile::CrossingProfile> {
-        self.fabric_ref().map(|f| f.crossing_profile())
+    /// per-edge cost histograms and byte totals (see [`CrossingProfile`]).
+    /// The sharded fabric overrides it with its merged profile.
+    fn crossing_profile(&self) -> CrossingProfile {
+        self.fabric().crossing_profile()
+    }
+
+    /// [`Substrate::fabric`] in a `Some`, with no logic of its own.
+    /// perfbench still calls it; the next change to the benchmark moves
+    /// it onto `fabric` and deletes it.
+    fn fabric_ref(&self) -> Option<&Fabric> {
+        Some(self.fabric())
+    }
+
+    /// [`Substrate::telemetry`] in a `Some`, with no logic of its own.
+    /// perfbench still calls it; the next change to the benchmark moves
+    /// it onto `telemetry` and deletes it.
+    fn telemetry_ref(&self) -> Option<&Telemetry> {
+        Some(self.telemetry())
     }
 }
 

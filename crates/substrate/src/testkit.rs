@@ -313,9 +313,7 @@ pub mod parity {
     pub fn assert_trace_propagation(sub: &mut dyn Substrate) {
         let name = sub.profile().name.clone();
         let at = sub.now();
-        let tel = sub
-            .telemetry_mut_ref()
-            .unwrap_or_else(|| panic!("[{name}] backend must expose fabric telemetry"));
+        let tel = sub.telemetry_mut();
         let root = tel.begin_span("parity-trace", "experiment", at);
         let trace = tel.context().expect("root span is open").trace_id;
         let svc = sub
@@ -330,7 +328,7 @@ pub mod parity {
         sub.destroy(client).unwrap();
         sub.destroy(svc).unwrap();
         let at = sub.now();
-        let tel = sub.telemetry_mut_ref().unwrap();
+        let tel = sub.telemetry_mut();
         tel.end_span(root, at, outcome::OK);
 
         let spans: Vec<_> = tel
@@ -407,18 +405,17 @@ pub mod parity {
             "[{name}] batch replies must match the loop's"
         );
         assert_eq!(
-            looped.fabric_ref().unwrap().trace_bytes(),
-            batched.fabric_ref().unwrap().trace_bytes(),
+            looped.fabric().trace_bytes(),
+            batched.fabric().trace_bytes(),
             "[{name}] batch trace ring must be byte-identical to the loop's"
         );
         assert_eq!(
-            looped.telemetry_ref().unwrap().metrics().digest(),
-            batched.telemetry_ref().unwrap().metrics().digest(),
+            looped.telemetry().metrics().digest(),
+            batched.telemetry().metrics().digest(),
             "[{name}] batch metrics digest must match the loop's"
         );
         let invoke_spans = |sub: &dyn Substrate| {
-            sub.telemetry_ref()
-                .unwrap()
+            sub.telemetry()
                 .spans()
                 .filter(|s| &*s.name == "invoke batch-parity-svc")
                 .count()
@@ -478,10 +475,7 @@ pub mod parity {
             .unwrap_or_else(|e| panic!("[{name}] cross-shard invoke: {e}"));
         assert_eq!(reply, b"across", "[{name}] cross-shard echo reply");
         {
-            let f0 = fab
-                .shard(ShardId(0))
-                .fabric_ref()
-                .unwrap_or_else(|| panic!("[{name}] shard 0 must expose its fabric"));
+            let f0 = fab.shard(ShardId(0)).fabric();
             let last = f0
                 .trace()
                 .last()
@@ -526,20 +520,14 @@ pub mod parity {
 
         // Revocation crosses shards correctly: the capability dies, the
         // refusal is a denial on the caller's shard.
-        let denials_before = fab
-            .shard(ShardId(0))
-            .fabric_ref()
-            .map_or(0, |f| f.stats().total_denials());
+        let denials_before = fab.shard(ShardId(0)).fabric().stats().total_denials();
         fab.revoke_channel(&cap)
             .unwrap_or_else(|e| panic!("[{name}] cross-shard revoke: {e}"));
         assert!(
             fab.invoke(client, &cap, b"dead").is_err(),
             "[{name}] revoked cross-shard cap must be refused"
         );
-        let denials_after = fab
-            .shard(ShardId(0))
-            .fabric_ref()
-            .map_or(0, |f| f.stats().total_denials());
+        let denials_after = fab.shard(ShardId(0)).fabric().stats().total_denials();
         assert_eq!(
             denials_after,
             denials_before + 1,
@@ -603,9 +591,7 @@ pub mod parity {
         let baseline = sub.measurement(victim).unwrap();
         let cap = sub.grant_channel(client, victim, Badge(7)).unwrap();
 
-        let fabric = sub
-            .fabric_mut_ref()
-            .unwrap_or_else(|| panic!("[{name}] backend must expose its fabric for injection"));
+        let fabric = sub.fabric_mut();
         fabric
             .install_fault_plan(FaultPlan::new().with(FaultSpec::crash("parity-crash-victim", 2)));
 

@@ -62,8 +62,6 @@ pub struct TrustZone {
     attest_key: SigningKey,
     seal_root: [u8; 32],
     platform_state: Digest,
-    rng: Drbg,
-    profile: SubstrateProfile,
 }
 
 impl std::fmt::Debug for TrustZone {
@@ -118,39 +116,38 @@ impl TrustZone {
             c.copy_per_byte_num,
             c.copy_per_byte_den,
         );
+        let profile = SubstrateProfile {
+            name: "trustzone".to_string(),
+            defends: models(&[
+                AttackerModel::RemoteSoftware,
+                AttackerModel::CompromisedOs,
+                AttackerModel::MaliciousDevice,
+                AttackerModel::PhysicalBoot,
+            ]),
+            features: Features {
+                spatial_isolation: true,
+                temporal_isolation: false,
+                memory_encryption: false,
+                trust_anchor: true,
+                attestation: true,
+                sealed_storage: true,
+                // One secure world; components inside share it under
+                // secondary isolation. We report the architectural
+                // limit of one *hardware* trusted domain.
+                max_trusted_domains: Some(1),
+                hosts_legacy_os: true,
+            },
+            // Monitor + secure-world OS; QSEE-class systems are small.
+            tcb_loc: 25_000,
+        };
         TrustZone {
             machine,
-            fabric: Fabric::new(cost_model),
+            fabric: Fabric::new(cost_model, profile, rng),
             mems: BTreeMap::new(),
             normal_domain: None,
             attest_key,
             seal_root,
             platform_state: Digest::ZERO,
-            rng,
-            profile: SubstrateProfile {
-                name: "trustzone".to_string(),
-                defends: models(&[
-                    AttackerModel::RemoteSoftware,
-                    AttackerModel::CompromisedOs,
-                    AttackerModel::MaliciousDevice,
-                    AttackerModel::PhysicalBoot,
-                ]),
-                features: Features {
-                    spatial_isolation: true,
-                    temporal_isolation: false,
-                    memory_encryption: false,
-                    trust_anchor: true,
-                    attestation: true,
-                    sealed_storage: true,
-                    // One secure world; components inside share it under
-                    // secondary isolation. We report the architectural
-                    // limit of one *hardware* trusted domain.
-                    max_trusted_domains: Some(1),
-                    hosts_legacy_os: true,
-                },
-                // Monitor + secure-world OS; QSEE-class systems are small.
-                tcb_loc: 25_000,
-            },
         }
     }
 
@@ -232,10 +229,6 @@ impl TrustZone {
 }
 
 impl BackendPolicy for TrustZone {
-    fn backend_profile(&self) -> &SubstrateProfile {
-        &self.profile
-    }
-
     fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -301,10 +294,6 @@ impl BackendPolicy for TrustZone {
             .ok_or(SubstrateError::NoSuchDomain(domain))?;
         mem.write(&mut self.machine, cpu, offset, data)
             .map_err(|e| SubstrateError::AccessDenied(e.to_string()))
-    }
-
-    fn domain_rng(&mut self, domain: DomainId) -> u64 {
-        self.rng.fork(&format!("domain-{}", domain.0)).next_u64()
     }
 
     fn seal_blob(

@@ -90,14 +90,12 @@ fn quarantine_counter_is_exactly_once_on_all_backends() {
             .unwrap_or_else(|e| panic!("[{name}] compose failed: {e}"));
         sup.assembly_mut()
             .substrate_mut(0)
-            .fabric_mut_ref()
-            .unwrap_or_else(|| panic!("[{name}] no fabric"))
+            .fabric_mut()
             .install_fault_plan(FaultPlan::new().with(FaultSpec::crash("worker", 1).permanent()));
         let quarantines = |sup: &mut Supervisor| {
             sup.assembly_mut()
                 .substrate_mut(0)
-                .telemetry_mut_ref()
-                .unwrap()
+                .telemetry_mut()
                 .metrics_mut()
                 .counter("supervisor.quarantines")
         };

@@ -61,9 +61,7 @@ fn n1_shard_fabric_is_byte_identical_on_all_six_backends() {
         n1_workload(raw.as_mut());
         let mut fab = ShardFabric::new(vec![wrapped]);
         n1_workload(&mut fab);
-        let engine = raw
-            .fabric_ref()
-            .expect("every backend routes through the fabric");
+        let engine = raw.fabric();
         assert_eq!(
             fab.merged_trace_bytes(),
             engine.trace_bytes(),
@@ -237,7 +235,7 @@ fn composer_bridges_channels_across_shards() {
     assert_eq!(asm.call_channel("front", "ask", b"ping").unwrap(), b"ping");
     // The caller's shard (shard 0 anchors the fabric surface) recorded
     // the crossing as the explicit cross-shard class.
-    let engine = asm.substrate_mut(0).fabric_ref().unwrap();
+    let engine = asm.substrate_mut(0).fabric();
     let shard_crossings = engine
         .stats()
         .crossing(CrossingKind::Shard)
@@ -273,8 +271,7 @@ fn supervised_respawn_stays_shard_local() {
     let crash_worker_on_shard0 = |sup: &mut Supervisor, nth: u64| {
         sup.assembly_mut()
             .substrate_mut(0)
-            .fabric_mut_ref()
-            .expect("the fabric surface anchors shard 0")
+            .fabric_mut()
             .install_fault_plan(FaultPlan::new().with(FaultSpec::crash("worker", nth)));
     };
     let drive = |sup: &mut Supervisor| {

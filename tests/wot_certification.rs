@@ -102,11 +102,13 @@ fn distrust_wave_quarantines_supervised_instance_exactly_once() {
         let quarantines = sup
             .assembly_mut()
             .substrate_mut(0)
-            .telemetry_mut_ref()
-            .map(|t| t.metrics_mut().counter("supervisor.quarantines"));
-        if let Some(q) = quarantines {
-            assert_eq!(q, 1, "[{backend}] one demotion = one quarantine count");
-        }
+            .telemetry_mut()
+            .metrics_mut()
+            .counter("supervisor.quarantines");
+        assert_eq!(
+            quarantines, 1,
+            "[{backend}] one demotion = one quarantine count"
+        );
         // Demoted means uncertifiable: the registry refuses the worker
         // by the wot pass while the sidekick still resolves.
         let reg = sup.registry_mut().unwrap();
