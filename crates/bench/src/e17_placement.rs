@@ -138,8 +138,14 @@ fn pool_ticks(sup: &mut Supervisor) -> u64 {
         .sum()
 }
 
-fn pool_denials(sup: &Supervisor) -> u64 {
-    sup.assembly().traffic().iter().map(|r| r.denials).sum()
+/// Capability presentations the pool's fabrics refused so far.
+fn pool_denials(sup: &mut Supervisor) -> u64 {
+    (0..sup.assembly().substrate_count())
+        .map(|i| {
+            let sub = sup.assembly_mut().substrate_mut(i);
+            sub.telemetry().metrics().counter("fabric.denials")
+        })
+        .sum()
 }
 
 /// Runs the full profile → plan → migrate → re-measure cycle on the
@@ -148,7 +154,7 @@ fn run_pair(idx: usize) -> PairOutcome {
     let mut sup = Supervisor::new(app(), pair(idx), factory()).expect("compose e17 pair");
     let backend = sup.assembly_mut().substrate_mut(0).profile().name.clone();
     let placed_before = sup.assembly().substrate_of("meter").expect("meter placed");
-    let denial_base = pool_denials(&sup);
+    let denial_base = pool_denials(&mut sup);
 
     // Seal the ledger's running state at its security-first home and
     // escrow it with the supervisor: sealing keys never cross
@@ -196,7 +202,7 @@ fn run_pair(idx: usize) -> PairOutcome {
         .assembly_mut()
         .call_channel("audit", "backdoor", b"x")
         .is_err();
-    let pola = if pool_denials(&sup) == denial_base
+    let pola = if pool_denials(&mut sup) == denial_base
         && undeclared_refused
         && sup.health() == Health::Healthy
     {

@@ -9,6 +9,8 @@
 //! also explains *why* SGX exists: "a more refined implementation of the
 //! late-launch approach" (§II-B) is ~20× cheaper per call.
 
+use std::collections::BTreeMap;
+
 use lateral_crypto::sign::SigningKey;
 use lateral_crypto::Digest;
 use lateral_flicker::Flicker;
@@ -18,6 +20,7 @@ use lateral_microkernel::Microkernel;
 use lateral_sep::Sep;
 use lateral_sgx::Sgx;
 use lateral_substrate::cap::{Badge, ChannelCap};
+use lateral_substrate::fabric::CrossingKind;
 use lateral_substrate::software::SoftwareSubstrate;
 use lateral_substrate::substrate::{DomainSpec, Substrate};
 use lateral_substrate::testkit::Echo;
@@ -39,7 +42,7 @@ pub struct Mechanism {
 }
 
 /// One row of fabric counters for a measured mechanism: what the engine
-/// itself accounted while the ladder ran — crossing counts and bytes
+/// itself traced while the ladder ran — crossing counts and bytes
 /// moved, per crossing kind.
 #[derive(Clone, Debug)]
 pub struct CrossingFacts {
@@ -66,16 +69,23 @@ fn charged_cost(sub: &mut dyn Substrate, caller: DomainId, cap: &ChannelCap, siz
         .cost
 }
 
-/// Harvests the engine's crossing counters accumulated on `sub`.
+/// Folds the crossings the engine traced on `sub` — the trace
+/// [`charged_cost`] reads — into one row per crossing kind, in kind
+/// order.
 fn crossing_facts(sub: &dyn Substrate, mechanism: &str) -> Vec<CrossingFacts> {
-    sub.fabric()
-        .stats()
-        .crossings()
-        .map(|(kind, c)| CrossingFacts {
+    let mut by_kind: BTreeMap<CrossingKind, (u64, u64)> = BTreeMap::new();
+    for ev in sub.fabric().trace() {
+        let (count, bytes) = by_kind.entry(ev.crossing).or_default();
+        *count += 1;
+        *bytes += ev.bytes;
+    }
+    by_kind
+        .into_iter()
+        .map(|(kind, (count, bytes))| CrossingFacts {
             mechanism: mechanism.to_string(),
             crossing: kind.name().to_string(),
-            count: c.count,
-            bytes: c.bytes,
+            count,
+            bytes,
         })
         .collect()
 }
@@ -102,8 +112,8 @@ pub fn run() -> Vec<Mechanism> {
     run_with_facts().0
 }
 
-/// Runs all mechanisms and additionally returns the fabric counters each
-/// substrate's engine accumulated during the measurement.
+/// Runs all mechanisms and additionally returns the crossings each
+/// substrate's engine traced during the measurement.
 pub fn run_with_facts() -> (Vec<Mechanism>, Vec<CrossingFacts>) {
     let costs = CostModel::default();
     let mut out = Vec::new();

@@ -43,25 +43,6 @@ where
     }
 }
 
-/// One substrate's aggregated fabric counters, as seen by the composer.
-///
-/// Every backend now routes lifecycle and invocation through the shared
-/// `substrate::fabric` engine, so the assembly can report uniform
-/// observability regardless of which mechanisms back the pool.
-#[derive(Clone, Debug)]
-pub struct TrafficRow {
-    /// Substrate profile name (e.g. `"microkernel"`).
-    pub substrate: String,
-    /// Invocations the engine dispatched on this substrate.
-    pub invocations: u64,
-    /// Payload + reply bytes moved across domain boundaries.
-    pub bytes: u64,
-    /// Invocations refused at the capability check.
-    pub denials: u64,
-    /// Synchronous re-entries refused by the engine.
-    pub reentrancy_faults: u64,
-}
-
 /// One placed component.
 #[derive(Clone, Copy, Debug)]
 pub struct Placement {
@@ -294,7 +275,9 @@ pub fn compose_admitted(
     compose(app, substrates, factory)
 }
 
-/// Liveness of an assembly, as reported by [`Assembly::health`].
+/// Liveness of an assembly, as reported by
+/// [`crate::supervisor::Supervisor::health`] from its own per-component
+/// states.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Health {
     /// Every placed component is alive.
@@ -518,23 +501,6 @@ impl Assembly {
             .collect()
     }
 
-    /// Fabric traffic counters for every pool substrate, in pool order.
-    pub fn traffic(&self) -> Vec<TrafficRow> {
-        self.substrates
-            .iter()
-            .map(|s| {
-                let stats = s.fabric().stats();
-                TrafficRow {
-                    substrate: s.profile().name.clone(),
-                    invocations: stats.total_invocations(),
-                    bytes: stats.total_bytes(),
-                    denials: stats.total_denials(),
-                    reentrancy_faults: stats.total_reentrancy_faults(),
-                }
-            })
-            .collect()
-    }
-
     /// Grants (or re-grants, overwriting the channel-map entry) the
     /// declared channel `from_name.label → to_name`. Both endpoints must
     /// be placed.
@@ -671,27 +637,6 @@ impl Assembly {
             }
         }
         Ok(())
-    }
-
-    /// Liveness summary: a component counts as down when its domain no
-    /// longer exists (destroyed, not yet respawned) or the fabric marked
-    /// it crashed.
-    pub fn health(&self) -> Health {
-        let mut down = Vec::new();
-        for (name, p) in &self.placements {
-            let sub = &self.substrates[p.substrate];
-            let dead = sub.measurement(p.domain).is_err() || sub.fabric().is_crashed(p.domain);
-            if dead {
-                down.push(name.clone());
-            }
-        }
-        if down.is_empty() {
-            Health::Healthy
-        } else if down.len() == self.placements.len() {
-            Health::Failed
-        } else {
-            Health::Degraded(down)
-        }
     }
 
     /// Tears down a component: its domain is destroyed (memory scrubbed,
@@ -871,29 +816,6 @@ mod tests {
             asm.call_component("ui", b"still here").unwrap(),
             b"still here"
         );
-    }
-
-    #[test]
-    fn traffic_reports_fabric_counters_across_the_pool() {
-        let app = AppManifest::new(
-            "traffic",
-            vec![
-                ComponentManifest::new("ui").channel("count", "counter", 5),
-                ComponentManifest::new("counter"),
-            ],
-        );
-        let mut asm = compose(&app, pool(), &mut echo_factory).unwrap();
-        asm.call_channel("ui", "count", b"12345678").unwrap();
-        asm.call_channel("ui", "count", b"12345678").unwrap();
-        let rows = asm.traffic();
-        assert_eq!(rows.len(), 1, "one pool substrate");
-        let row = &rows[0];
-        assert_eq!(row.substrate, "software");
-        assert_eq!(row.invocations, 2);
-        // Payload (8) + little-endian u64 reply (8) per call.
-        assert_eq!(row.bytes, 2 * (8 + 8));
-        assert_eq!(row.denials, 0);
-        assert_eq!(row.reentrancy_faults, 0);
     }
 
     mod admission {

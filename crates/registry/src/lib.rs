@@ -126,8 +126,8 @@ impl fmt::Display for RegistryError {
 
 impl Error for RegistryError {}
 
-/// Aggregate counters, in the style of the fabric engine's
-/// `FabricStats`.
+/// Aggregate counters as [`Registry::stats`] read them from the
+/// registry's metrics — a view, as the fabric engine's `FabricStats` is.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct RegistryStats {
     /// Images accepted into the store.

@@ -119,11 +119,15 @@ impl CapTable {
         Ok(*entry)
     }
 
-    /// Revokes the capability in `slot`. Subsequent lookups fail even if
-    /// the slot is later reused (the nonce changes).
-    pub fn revoke(&mut self, slot: u32) {
-        if let Some(e) = self.entries.get_mut(slot as usize) {
-            *e = None;
+    /// Revokes `cap` if its slot still holds it (matching nonce).
+    /// Subsequent lookups fail even if the slot is later reused (the
+    /// nonce changes); revoking the stale cap again leaves the slot's
+    /// new entry alone.
+    pub fn revoke(&mut self, cap: &ChannelCap) {
+        if let Some(e) = self.entries.get_mut(cap.slot as usize) {
+            if e.is_some_and(|live| live.nonce == cap.nonce) {
+                *e = None;
+            }
         }
     }
 
@@ -182,12 +186,15 @@ mod tests {
     fn revoked_cap_is_dead_even_after_slot_reuse() {
         let mut t = CapTable::new();
         let cap = t.install(OWNER, SERVER, Badge(1));
-        t.revoke(cap.slot);
+        t.revoke(&cap);
         assert!(t.lookup(OWNER, &cap).is_err());
         // Slot gets reused with a fresh nonce.
         let cap2 = t.install(OWNER, SERVER, Badge(2));
         assert_eq!(cap2.slot, cap.slot, "slot reused");
         assert!(t.lookup(OWNER, &cap).is_err(), "old cap still dead");
+        assert_eq!(t.lookup(OWNER, &cap2).unwrap().badge, Badge(2));
+        // Revoking the old cap again must not kill the new entry.
+        t.revoke(&cap);
         assert_eq!(t.lookup(OWNER, &cap2).unwrap().badge, Badge(2));
     }
 

@@ -20,15 +20,16 @@
 //! recorded [`DomainKind`]s) and its price.
 //!
 //! The engine also threads a deterministic observability layer through
-//! every invocation: a [`TraceEvent`] on the logical clock (caller,
-//! callee, badge, payload size, crossing kind, cost, outcome) lands in
-//! a bounded ring buffer, and per-domain / per-channel / per-crossing
-//! counters are exposed through [`FabricStats`]. Because the simulator
-//! is fully deterministic, two identical runs produce byte-identical
-//! trace buffers ([`Fabric::trace_bytes`]) — the uniform measurement
-//! layer the E4 cost ladder and the repro tables read from.
+//! every invocation, and keeps each fact once: a [`TraceEvent`] on the
+//! logical clock (caller, callee, badge, payload size, crossing kind,
+//! cost, outcome) lands in a bounded ring buffer, and the counts land
+//! in the `fabric.*` / `crossing.*` families of its telemetry's metrics
+//! registry ([`FabricStats`] is a view of four of them). Because the
+//! simulator is fully deterministic, two identical runs produce
+//! byte-identical trace buffers ([`Fabric::trace_bytes`]) — the uniform
+//! measurement layer the E4 cost ladder and the repro tables read from.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use lateral_crypto::rng::Drbg;
 use lateral_crypto::sign::VerifyingKey;
@@ -429,128 +430,36 @@ impl TraceEvent {
     }
 }
 
-/// Counters kept per live-or-destroyed domain (attributed to the
-/// *caller* side of invocations).
+/// The engine's four dispatch totals as they stood when
+/// [`Fabric::stats`] read them from its metrics registry; it keeps no
+/// counter of its own.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct DomainCounters {
-    /// Invocations this domain initiated that reached dispatch.
-    pub invocations: u64,
-    /// Payload + reply bytes moved by those invocations.
-    pub bytes: u64,
-    /// Capability presentations the engine rejected (forged, foreign,
-    /// revoked, or stale caps).
-    pub denials: u64,
-    /// Synchronous re-entry attempts that faulted.
-    pub reentrancy_faults: u64,
-}
-
-/// Counters kept per granted channel, keyed by `(owner, slot)`.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct ChannelCounters {
-    /// Successful dispatches through the channel.
-    pub invocations: u64,
-    /// Payload + reply bytes moved through the channel.
-    pub bytes: u64,
-}
-
-/// Count and byte volume per [`CrossingKind`].
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct CrossingCounters {
-    /// Crossings observed.
-    pub count: u64,
-    /// Request payload bytes moved across.
-    pub bytes: u64,
-}
-
-/// The engine's aggregate counters — the uniform measurement layer
-/// experiments read instead of instrumenting each backend separately.
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct FabricStats {
-    domains: BTreeMap<DomainId, DomainCounters>,
-    channels: BTreeMap<(DomainId, u32), ChannelCounters>,
-    crossings: BTreeMap<CrossingKind, CrossingCounters>,
+    invocations: u64,
+    bytes: u64,
+    denials: u64,
+    reentrancy_faults: u64,
 }
 
 impl FabricStats {
-    /// Counters for one domain (`None` if it never existed).
-    pub fn domain(&self, id: DomainId) -> Option<&DomainCounters> {
-        self.domains.get(&id)
-    }
-
-    /// Counters for one channel, keyed by owner and capability slot.
-    pub fn channel(&self, owner: DomainId, slot: u32) -> Option<&ChannelCounters> {
-        self.channels.get(&(owner, slot))
-    }
-
-    /// Counters for one crossing kind.
-    pub fn crossing(&self, kind: CrossingKind) -> Option<&CrossingCounters> {
-        self.crossings.get(&kind)
-    }
-
-    /// Iterates all per-domain counters in domain order.
-    pub fn domains(&self) -> impl Iterator<Item = (DomainId, &DomainCounters)> {
-        self.domains.iter().map(|(id, c)| (*id, c))
-    }
-
-    /// Iterates all per-channel counters in `(owner, slot)` order.
-    pub fn channels(&self) -> impl Iterator<Item = ((DomainId, u32), &ChannelCounters)> {
-        self.channels.iter().map(|(k, c)| (*k, c))
-    }
-
-    /// Iterates all per-crossing counters in kind order.
-    pub fn crossings(&self) -> impl Iterator<Item = (CrossingKind, &CrossingCounters)> {
-        self.crossings.iter().map(|(k, c)| (*k, c))
-    }
-
-    /// Total dispatched invocations across all domains.
+    /// Invocations that reached dispatch (`fabric.invocations`).
     pub fn total_invocations(&self) -> u64 {
-        self.domains.values().map(|c| c.invocations).sum()
+        self.invocations
     }
 
-    /// Total payload + reply bytes moved across all domains.
+    /// Request plus reply bytes those dispatches moved (`fabric.bytes`).
     pub fn total_bytes(&self) -> u64 {
-        self.domains.values().map(|c| c.bytes).sum()
+        self.bytes
     }
 
-    /// Total denied capability presentations.
+    /// Refused capability presentations (`fabric.denials`).
     pub fn total_denials(&self) -> u64 {
-        self.domains.values().map(|c| c.denials).sum()
+        self.denials
     }
 
-    /// Total reentrancy faults.
+    /// Refused synchronous re-entries (`fabric.reentrancy`).
     pub fn total_reentrancy_faults(&self) -> u64 {
-        self.domains.values().map(|c| c.reentrancy_faults).sum()
-    }
-
-    /// An owned copy of the counters as they stand now — the value to
-    /// keep when the fabric will keep running (a borrowed `&FabricStats`
-    /// would observe later traffic).
-    #[must_use]
-    pub fn snapshot(&self) -> FabricStats {
-        self.clone()
-    }
-}
-
-impl std::fmt::Display for FabricStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "invocations={} bytes={} denials={} reentrancy={}",
-            self.total_invocations(),
-            self.total_bytes(),
-            self.total_denials(),
-            self.total_reentrancy_faults()
-        )?;
-        for (kind, c) in &self.crossings {
-            writeln!(
-                f,
-                "crossing {:12} count={} bytes={}",
-                kind.name(),
-                c.count,
-                c.bytes
-            )?;
-        }
-        Ok(())
+        self.reentrancy_faults
     }
 }
 
@@ -597,9 +506,10 @@ fn cached_counter(
     }
 }
 
-/// The per-substrate fabric state: the domain table (the single copy),
-/// the backend's cost model, profile and DRBG, the trace ring buffer,
-/// and the aggregate counters. Each backend owns exactly one `Fabric`.
+/// The per-substrate fabric state: the domain table (the single copy,
+/// crash flags included), the backend's cost model, profile and DRBG,
+/// the trace ring buffer, and the telemetry whose metrics registry
+/// holds every count. Each backend owns exactly one `Fabric`.
 pub struct Fabric {
     table: DomainTable,
     cost_model: CrossingCostModel,
@@ -609,9 +519,7 @@ pub struct Fabric {
     trace: VecDeque<TraceEvent>,
     trace_capacity: usize,
     next_seq: u64,
-    stats: FabricStats,
     faults: FaultPlan,
-    crashed: BTreeSet<DomainId>,
     telemetry: Telemetry,
     /// Per-domain interned labels, indexed by the dense `DomainId`
     /// (ids are never reused, so a slot is written at most twice:
@@ -647,9 +555,7 @@ impl Fabric {
             trace: VecDeque::with_capacity(DEFAULT_TRACE_CAPACITY),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             next_seq: 0,
-            stats: FabricStats::default(),
             faults: FaultPlan::new(),
-            crashed: BTreeSet::new(),
             telemetry: Telemetry::new(),
             domain_labels: Vec::new(),
             grant_labels: BTreeMap::new(),
@@ -694,9 +600,16 @@ impl Fabric {
         &mut self.table
     }
 
-    /// The aggregate counters.
-    pub fn stats(&self) -> &FabricStats {
-        &self.stats
+    /// The four dispatch totals, read from the metrics registry (a read
+    /// registers nothing, so no metrics digest moves).
+    pub fn stats(&self) -> FabricStats {
+        let metrics = self.telemetry.metrics();
+        FabricStats {
+            invocations: metrics.counter("fabric.invocations"),
+            bytes: metrics.counter("fabric.bytes"),
+            denials: metrics.counter("fabric.denials"),
+            reentrancy_faults: metrics.counter("fabric.reentrancy"),
+        }
     }
 
     /// The cost model every crossing is classified and priced by.
@@ -800,14 +713,9 @@ impl Fabric {
     }
 
     /// Whether `id` has fail-stopped (an injected crash not yet cleared
-    /// by destroying the domain).
+    /// by destroying the domain, which drops its record and the flag).
     pub fn is_crashed(&self, id: DomainId) -> bool {
-        self.crashed.contains(&id)
-    }
-
-    /// The currently crashed domains, in id order.
-    pub fn crashed_domains(&self) -> impl Iterator<Item = DomainId> + '_ {
-        self.crashed.iter().copied()
+        self.table.get(id).is_ok_and(|rec| rec.crashed)
     }
 
     /// Advances the fault plan for one observed operation on `id` and
@@ -887,17 +795,9 @@ impl Fabric {
         ids
     }
 
-    fn mark_crashed(&mut self, id: DomainId) {
-        self.crashed.insert(id);
-    }
-
-    fn clear_crashed(&mut self, id: DomainId) {
-        self.crashed.remove(&id);
-    }
-
     /// Appends a fault-path event ([`TraceOutcome::Injected`] or
-    /// [`TraceOutcome::Crashed`]) to the ring without attributing
-    /// invocation/channel counters — injections are not dispatches.
+    /// [`TraceOutcome::Crashed`]) to the ring without counting it —
+    /// injections are not dispatches.
     /// Public so the shard layer ([`crate::shard`]) can record its
     /// caller-side cross-shard fault events with engine semantics.
     pub fn record_fault(&mut self, event: TraceEvent) {
@@ -908,26 +808,11 @@ impl Fabric {
         self.next_seq += 1;
     }
 
-    fn ensure_domain(&mut self, id: DomainId) {
-        self.stats.domains.entry(id).or_default();
-    }
-
-    fn forget_domain(&mut self, id: DomainId) {
-        // Counters survive destruction (they are history), but a domain
-        // that never dispatched anything leaves no row behind.
-        if let Some(c) = self.stats.domains.get(&id) {
-            if *c == DomainCounters::default() {
-                self.stats.domains.remove(&id);
-            }
-        }
-    }
-
-    /// Counts a refused capability presentation against `caller` (the
-    /// `fabric.denials` metric plus the per-domain counter). Public so
-    /// the shard layer can attribute cross-shard denials to the caller's
-    /// shard exactly as the engine attributes intra-shard ones.
-    pub fn note_denial(&mut self, caller: DomainId) {
-        self.stats.domains.entry(caller).or_default().denials += 1;
+    /// Counts a refused capability presentation (the `fabric.denials`
+    /// metric). Public so the shard layer can count cross-shard denials
+    /// on the caller's shard exactly as the engine counts intra-shard
+    /// ones.
+    pub fn note_denial(&mut self) {
         let id = cached_counter(
             &mut self.telemetry,
             &mut self.metric_ids.denials,
@@ -936,14 +821,10 @@ impl Fabric {
         self.telemetry.metrics_mut().incr_by_id(id, 1);
     }
 
-    /// Counts a refused synchronous re-entry against `caller` — the
-    /// shard layer's cross-shard twin of the engine's own accounting.
-    pub fn note_reentrancy(&mut self, caller: DomainId) {
-        self.stats
-            .domains
-            .entry(caller)
-            .or_default()
-            .reentrancy_faults += 1;
+    /// Counts a refused synchronous re-entry (the `fabric.reentrancy`
+    /// metric) — the shard layer's cross-shard twin of the engine's own
+    /// accounting.
+    pub fn note_reentrancy(&mut self) {
         let id = cached_counter(
             &mut self.telemetry,
             &mut self.metric_ids.reentrancy,
@@ -952,48 +833,31 @@ impl Fabric {
         self.telemetry.metrics_mut().incr_by_id(id, 1);
     }
 
-    /// Appends a completed-dispatch event to the ring and attributes
-    /// every counter the engine keeps: the `fabric.*` metric family,
-    /// the crossing counter/cost histogram for `event.crossing`, and
-    /// the per-domain / per-channel (`caller`, `slot`) / per-crossing
-    /// stats. Public so the shard layer records cross-shard dispatches
-    /// with byte-identical accounting to intra-shard ones.
+    /// Appends a completed-dispatch event to the ring and counts it in
+    /// the metrics registry — the `fabric.invocations` and
+    /// `fabric.bytes` (request plus `reply_bytes`) counters, and the
+    /// crossing counter and cost histogram of `event.crossing`. Those
+    /// are the only two places a dispatch is written. Public so the
+    /// shard layer records cross-shard dispatches with byte-identical
+    /// accounting to intra-shard ones.
     #[inline]
-    pub fn record(&mut self, event: TraceEvent, slot: u32, reply_bytes: u64) {
-        let moved = event.bytes + reply_bytes;
-        {
-            let invocations = cached_counter(
-                &mut self.telemetry,
-                &mut self.metric_ids.invocations,
-                "fabric.invocations",
-            );
-            let bytes = cached_counter(
-                &mut self.telemetry,
-                &mut self.metric_ids.bytes,
-                "fabric.bytes",
-            );
-            let (count, cost) = self.crossing_ids(event.crossing);
-            let metrics = self.telemetry.metrics_mut();
-            metrics.incr_by_id(invocations, 1);
-            metrics.incr_by_id(bytes, moved);
-            metrics.incr_by_id(count, 1);
-            metrics.observe_by_id(cost, event.cost);
-        }
-        {
-            let d = self.stats.domains.entry(event.caller).or_default();
-            d.invocations += 1;
-            d.bytes += moved;
-        }
-        {
-            let ch = self.stats.channels.entry((event.caller, slot)).or_default();
-            ch.invocations += 1;
-            ch.bytes += moved;
-        }
-        {
-            let cr = self.stats.crossings.entry(event.crossing).or_default();
-            cr.count += 1;
-            cr.bytes += event.bytes;
-        }
+    pub fn record(&mut self, event: TraceEvent, reply_bytes: u64) {
+        let invocations = cached_counter(
+            &mut self.telemetry,
+            &mut self.metric_ids.invocations,
+            "fabric.invocations",
+        );
+        let bytes = cached_counter(
+            &mut self.telemetry,
+            &mut self.metric_ids.bytes,
+            "fabric.bytes",
+        );
+        let (count, cost) = self.crossing_ids(event.crossing);
+        let metrics = self.telemetry.metrics_mut();
+        metrics.incr_by_id(invocations, 1);
+        metrics.incr_by_id(bytes, event.bytes + reply_bytes);
+        metrics.incr_by_id(count, 1);
+        metrics.observe_by_id(cost, event.cost);
         if self.trace.len() == self.trace_capacity {
             self.trace.pop_front();
         }
@@ -1022,8 +886,9 @@ impl Fabric {
 /// accessors of the same names from them, so on a concrete backend
 /// with both traits in scope, name the trait (`Substrate::fabric(&b)`).
 pub trait BackendPolicy: Send {
-    /// The backend's fabric (domain table, trace, stats, cost model,
-    /// profile, DRBG), served as [`Substrate::fabric`].
+    /// The backend's fabric (domain table, trace, telemetry and its
+    /// metrics, cost model, profile, DRBG), served as
+    /// [`Substrate::fabric`].
     fn fabric(&self) -> &Fabric;
 
     /// Mutable access to the backend's fabric.
@@ -1283,17 +1148,15 @@ pub fn spawn<B: BackendPolicy>(
         kind,
         caps: CapTable::new(),
         component: Some(component),
+        crashed: false,
     });
-    backend.fabric_mut().ensure_domain(id);
     if let Err(e) = backend.place(id, kind) {
         let _ = backend.fabric_mut().table_mut().remove(id);
-        backend.fabric_mut().forget_domain(id);
         return Err(e);
     }
     if let Err(e) = backend.charge_spawn(id) {
         let _ = backend.fabric_mut().table_mut().remove(id);
         backend.unplace(id);
-        backend.fabric_mut().forget_domain(id);
         return Err(e);
     }
     // An injected spawn fault behaves exactly like a late platform
@@ -1320,7 +1183,6 @@ pub fn spawn<B: BackendPolicy>(
             .instant_label(spawn_label, "fabric", at, span_outcome::INJECTED);
         let _ = fabric.table_mut().remove(id);
         backend.unplace(id);
-        backend.fabric_mut().forget_domain(id);
         return Err(SubstrateError::Platform(
             "injected fault: fail-stop on spawn".into(),
         ));
@@ -1385,7 +1247,7 @@ fn admit_invoke<B: BackendPolicy>(
     let entry = match lookup {
         Ok(entry) => entry,
         Err(e) => {
-            backend.fabric_mut().note_denial(caller);
+            backend.fabric_mut().note_denial();
             return Err(e);
         }
     };
@@ -1398,7 +1260,7 @@ fn admit_invoke<B: BackendPolicy>(
             .unwrap_or(CrossingKind::Local);
         let at = backend.clock();
         let fabric = backend.fabric_mut();
-        fabric.note_denial(caller);
+        fabric.note_denial();
         let event = TraceEvent {
             seq: fabric.next_seq(),
             at,
@@ -1431,7 +1293,9 @@ fn record_injected_crash<B: BackendPolicy>(
 ) -> SubstrateError {
     let at = backend.clock();
     let fabric = backend.fabric_mut();
-    fabric.mark_crashed(entry.target);
+    if let Ok(rec) = fabric.table_mut().get_mut(entry.target) {
+        rec.crashed = true;
+    }
     let event = TraceEvent {
         seq: fabric.next_seq(),
         at,
@@ -1459,7 +1323,7 @@ fn enter_invoke<B: BackendPolicy>(
         if matches!(e, SubstrateError::Reentrancy(_)) {
             let at = backend.clock();
             let fabric = backend.fabric_mut();
-            fabric.note_reentrancy(caller);
+            fabric.note_reentrancy();
             fabric
                 .telemetry
                 .instant_label(span_label, "fabric", at, span_outcome::REENTRANCY);
@@ -1474,16 +1338,15 @@ fn enter_invoke<B: BackendPolicy>(
 }
 
 /// The trace outcome and reply size of one dispatch, counting a refused
-/// re-entry against `caller`.
+/// re-entry.
 fn classify<B: BackendPolicy>(
     backend: &mut B,
-    caller: DomainId,
     result: &Result<Vec<u8>, SubstrateError>,
 ) -> (TraceOutcome, u64) {
     match result {
         Ok(reply) => (TraceOutcome::Ok, reply.len() as u64),
         Err(SubstrateError::Reentrancy(_)) => {
-            backend.fabric_mut().note_reentrancy(caller);
+            backend.fabric_mut().note_reentrancy();
             (TraceOutcome::Reentrancy, 0)
         }
         Err(_) => (TraceOutcome::Failed, 0),
@@ -1544,8 +1407,8 @@ impl<B: BackendPolicy> Substrate for B {
     /// The table removal revokes every capability *targeting* the
     /// domain in all other domains — identical semantics on every
     /// backend (a respawned successor gets a fresh id and fresh nonces,
-    /// so stale caps stay dead) — then the backend frees placement
-    /// resources.
+    /// so stale caps stay dead) — and drops the record's crash flag;
+    /// then the backend frees placement resources.
     fn destroy(&mut self, id: DomainId) -> Result<(), SubstrateError> {
         self.fabric().table().get(id)?;
         let labels = self
@@ -1556,8 +1419,6 @@ impl<B: BackendPolicy> Substrate for B {
         self.unplace(id);
         let at = self.clock();
         let fabric = self.fabric_mut();
-        fabric.forget_domain(id);
-        fabric.clear_crashed(id);
         fabric.clear_domain_labels(id);
         fabric
             .telemetry
@@ -1575,7 +1436,7 @@ impl<B: BackendPolicy> Substrate for B {
         if self.fabric_mut().fault_fires(to, FaultKind::DenyGrant) {
             let at = self.clock();
             let fabric = self.fabric_mut();
-            fabric.note_denial(from);
+            fabric.note_denial();
             let event = TraceEvent {
                 seq: fabric.next_seq(),
                 at,
@@ -1603,16 +1464,18 @@ impl<B: BackendPolicy> Substrate for B {
         Ok(rec.caps.install(from, to, badge))
     }
 
+    /// Revokes `cap` only while it is live: a stale cap, whose slot may
+    /// since hold a fresh grant, revokes nothing.
     fn revoke_channel(&mut self, cap: &ChannelCap) -> Result<(), SubstrateError> {
         let rec = self.fabric_mut().table_mut().get_mut(cap.owner)?;
-        rec.caps.revoke(cap.slot);
+        rec.caps.revoke(cap);
         Ok(())
     }
 
     /// Validates the capability (recording denials), runs the backend
     /// gate (recording reentrancy faults), classifies and charges the
     /// crossing from the cost model, dispatches take-out/put-back, and
-    /// records the trace event + counters.
+    /// records the trace event and its metrics.
     fn invoke(
         &mut self,
         caller: DomainId,
@@ -1650,7 +1513,7 @@ impl<B: BackendPolicy> Substrate for B {
             .begin_span_label(span_label, "fabric", at);
         let result = run_component(self, target, entry.badge, data);
         self.end_invoke(caller, target);
-        let (outcome, reply_bytes) = classify(self, caller, &result);
+        let (outcome, reply_bytes) = classify(self, &result);
         let span_end = self.clock();
         self.fabric_mut()
             .telemetry
@@ -1667,7 +1530,7 @@ impl<B: BackendPolicy> Substrate for B {
             cost,
             outcome,
         };
-        fabric.record(event, cap.slot, reply_bytes);
+        fabric.record(event, reply_bytes);
         result
     }
 
@@ -1676,7 +1539,7 @@ impl<B: BackendPolicy> Substrate for B {
     /// whole batch — then dispatches each payload with exactly the
     /// per-payload effects of [`Substrate::invoke`]: the crossing cost
     /// is charged per payload, every dispatch lands in the trace ring
-    /// and counters byte-identically to the loop equivalent, and
+    /// and metrics byte-identically to the loop equivalent, and
     /// scheduled crash faults fire at the same dispatch attempt. On the
     /// first error the batch stops (exactly where a `for` loop would
     /// have stopped) and returns it. The only observable difference
@@ -1715,7 +1578,7 @@ impl<B: BackendPolicy> Substrate for B {
             self.advance_clock(cost);
             let at = self.clock();
             let result = run_component(self, target, entry.badge, data);
-            let (outcome, reply_bytes) = classify(self, caller, &result);
+            let (outcome, reply_bytes) = classify(self, &result);
             let fabric = self.fabric_mut();
             let event = TraceEvent {
                 seq: fabric.next_seq(),
@@ -1728,7 +1591,7 @@ impl<B: BackendPolicy> Substrate for B {
                 cost,
                 outcome,
             };
-            fabric.record(event, cap.slot, reply_bytes);
+            fabric.record(event, reply_bytes);
             match result {
                 Ok(reply) => replies.push(reply),
                 Err(e) => {
@@ -1940,7 +1803,6 @@ mod tests {
                     outcome: TraceOutcome::Ok,
                 },
                 0,
-                0,
             );
         }
         assert_eq!(f.trace_len(), 2);
@@ -1950,8 +1812,15 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_per_domain_channel_and_crossing() {
+    fn stats_are_totals_read_from_the_metrics_registry() {
         let mut f = free_fabric();
+        let empty = f.telemetry().metrics().digest();
+        assert_eq!(f.stats(), FabricStats::default());
+        assert_eq!(
+            f.telemetry().metrics().digest(),
+            empty,
+            "reading the totals registers no metric"
+        );
         let seq = f.next_seq();
         f.record(
             TraceEvent {
@@ -1965,21 +1834,20 @@ mod tests {
                 cost: 500,
                 outcome: TraceOutcome::Ok,
             },
-            3,
             20,
         );
-        f.note_denial(DomainId(1));
-        f.note_reentrancy(DomainId(2));
-        let d1 = f.stats().domain(DomainId(1)).unwrap();
-        assert_eq!(d1.invocations, 1);
-        assert_eq!(d1.bytes, 120);
-        assert_eq!(d1.denials, 1);
-        let ch = f.stats().channel(DomainId(1), 3).unwrap();
-        assert_eq!(ch.invocations, 1);
-        assert_eq!(ch.bytes, 120);
-        let cr = f.stats().crossing(CrossingKind::Mailbox).unwrap();
-        assert_eq!(cr.count, 1);
-        assert_eq!(cr.bytes, 100);
-        assert_eq!(f.stats().total_reentrancy_faults(), 1);
+        f.note_denial();
+        f.note_reentrancy();
+        let stats = f.stats();
+        assert_eq!(stats.total_invocations(), 1);
+        assert_eq!(stats.total_bytes(), 120, "request plus reply bytes");
+        assert_eq!(stats.total_denials(), 1);
+        assert_eq!(stats.total_reentrancy_faults(), 1);
+        let metrics = f.telemetry().metrics();
+        assert_eq!(metrics.counter("crossing.mailbox"), 1);
+        assert_eq!(
+            metrics.histogram("crossing.mailbox.cost").unwrap().sum(),
+            500
+        );
     }
 }

@@ -379,9 +379,17 @@ impl ShardFabric {
     }
 
     fn note_denial_on(&mut self, r: Route) {
-        self.shards[r.shard as usize]
-            .fabric_mut()
-            .note_denial(r.local);
+        self.shards[r.shard as usize].fabric_mut().note_denial();
+    }
+
+    /// Marks cross-shard grant `idx` revoked and revokes its inner
+    /// capability, which the target shard's ingress domain holds.
+    fn revoke_xgrant(&mut self, idx: usize) {
+        let grant = self.xgrants[idx];
+        self.xgrants[idx].revoked = true;
+        if let Ok(rt) = self.route(grant.to) {
+            let _ = self.shards[rt.shard as usize].revoke_channel(&grant.inner);
+        }
     }
 
     /// The cross-shard invocation path: validate the fabric-level
@@ -433,7 +441,7 @@ impl ShardFabric {
         if self.shards[rt.shard as usize].fabric().is_crashed(rt.local) {
             let at = self.shards[r.shard as usize].now();
             let fabric = self.shards[r.shard as usize].fabric_mut();
-            fabric.note_denial(r.local);
+            fabric.note_denial();
             let event = TraceEvent {
                 seq: fabric.next_seq(),
                 at,
@@ -488,10 +496,10 @@ impl ShardFabric {
         match outcome {
             TraceOutcome::Crashed => fabric.record_fault(event),
             TraceOutcome::Reentrancy => {
-                fabric.note_reentrancy(r.local);
-                fabric.record(event, cap.slot, reply_bytes);
+                fabric.note_reentrancy();
+                fabric.record(event, reply_bytes);
             }
-            _ => fabric.record(event, cap.slot, reply_bytes),
+            _ => fabric.record(event, reply_bytes),
         }
         // Remote-side errors carry target-shard-local ids; remap onto
         // the global target the caller named.
@@ -526,9 +534,13 @@ impl Substrate for ShardFabric {
             .destroy(r.local)
             .map_err(|e| globalize(&self.routes, r.shard, e))?;
         self.routes[domain.0 as usize] = None;
-        for g in &mut self.xgrants {
-            if g.from == domain || g.to == domain {
-                g.revoked = true;
+        // Grants *to* the domain lost their inner caps with its table
+        // record (and its route is gone, so `revoke_xgrant` only marks
+        // them); grants *from* it still arm the target's ingress domain.
+        for idx in 0..self.xgrants.len() {
+            let g = self.xgrants[idx];
+            if !g.revoked && (g.from == domain || g.to == domain) {
+                self.revoke_xgrant(idx);
             }
         }
         Ok(())
@@ -587,12 +599,8 @@ impl Substrate for ShardFabric {
             let Some(grant) = self.xgrants.get(idx).copied() else {
                 return Ok(());
             };
-            if grant.from != cap.owner || grant.nonce != cap.nonce || grant.revoked {
-                return Ok(());
-            }
-            self.xgrants[idx].revoked = true;
-            if let Ok(rt) = self.route(grant.to) {
-                let _ = self.shards[rt.shard as usize].revoke_channel(&grant.inner);
+            if grant.from == cap.owner && grant.nonce == cap.nonce && !grant.revoked {
+                self.revoke_xgrant(idx);
             }
             return Ok(());
         }
@@ -994,8 +1002,7 @@ mod tests {
         assert_eq!(last.callee, svc);
         assert_eq!(last.cost, xshard_cost(4));
         assert_eq!(last.outcome, TraceOutcome::Ok);
-        let xstats = f0.stats().crossing(CrossingKind::Shard).unwrap();
-        assert_eq!(xstats.count, 1);
+        assert_eq!(f0.telemetry().metrics().counter("crossing.xshard"), 1);
         // Target shard dispatched it as a local ingress call.
         let f1 = fab.shard(ShardId(1)).fabric();
         assert!(f1.trace().any(|e| e.crossing == CrossingKind::Local));
@@ -1027,6 +1034,15 @@ mod tests {
         let cap2 = fab.grant_channel(client, svc, Badge(4)).unwrap();
         fab.destroy(svc).unwrap();
         assert!(fab.invoke(client, &cap2, b"x").is_err());
+        // Destroying the caller revokes the inner capability its grant
+        // armed in the target shard's ingress domain.
+        let svc = fab.spawn(DomainSpec::named("svc"), Box::new(Echo)).unwrap();
+        fab.grant_channel(client, svc, Badge(5)).unwrap();
+        let ingress = fab.ingress[1].unwrap();
+        let armed = |fab: &ShardFabric| fab.shard(ShardId(1)).list_caps(ingress).unwrap().len();
+        assert_eq!(armed(&fab), 1);
+        fab.destroy(client).unwrap();
+        assert_eq!(armed(&fab), 0, "no ingress cap outlives its caller");
     }
 
     #[test]

@@ -269,9 +269,9 @@ pub trait Substrate: Send {
     fn list_caps(&self, domain: DomainId) -> Result<Vec<ChannelCap>, SubstrateError>;
 
     /// The backend's [`crate::fabric::Fabric`] — domain table, trace
-    /// buffer, [`crate::fabric::FabricStats`] counters, profile and
-    /// telemetry. Experiments read crossing counts and byte volumes
-    /// through this without giving up object safety.
+    /// buffer, profile and telemetry, whose metrics registry holds the
+    /// counts. Experiments read crossings and byte volumes through this
+    /// without giving up object safety.
     fn fabric(&self) -> &Fabric;
 
     /// Mutable access to the backend's fabric — how supervisors and
@@ -450,6 +450,10 @@ pub struct DomainRecord {
     /// put-back dispatch, which also turns synchronous re-entry into a
     /// clean [`SubstrateError::Reentrancy`] instead of a deadlock).
     pub component: Option<Box<dyn Component>>,
+    /// Whether an injected crash fail-stopped the domain. Calls into it
+    /// are refused until it is destroyed, which drops the flag with the
+    /// record.
+    pub crashed: bool,
 }
 
 /// The fabric engine's domain table.
@@ -577,6 +581,7 @@ mod tests {
             kind: DomainKind::Trusted,
             caps: CapTable::new(),
             component: None,
+            crashed: false,
         });
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(id).unwrap().measurement, m);
@@ -594,6 +599,7 @@ mod tests {
             kind: DomainKind::Trusted,
             caps: CapTable::new(),
             component: None,
+            crashed: false,
         };
         let a = t.insert(mk("a"));
         let b = t.insert(mk("b"));
@@ -624,6 +630,7 @@ mod tests {
             kind: DomainKind::Trusted,
             caps: CapTable::new(),
             component: Some(Box::new(Noop)),
+            crashed: false,
         });
         let c = t.take_component(id).unwrap();
         assert!(matches!(

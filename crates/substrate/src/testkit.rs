@@ -217,7 +217,9 @@ pub mod parity {
         sub.destroy(driver).unwrap();
     }
 
-    /// A capability stops working the moment it is revoked.
+    /// A capability stops working the moment it is revoked, and
+    /// revoking it again once a fresh grant has reused its slot leaves
+    /// that grant working.
     pub fn assert_revoke_then_invoke_fails(sub: &mut dyn Substrate) {
         let name = sub.profile().name.clone();
         let svc = sub
@@ -237,6 +239,13 @@ pub mod parity {
             sub.invoke(client, &cap, b"dead").is_err(),
             "[{name}] revoked cap must be refused"
         );
+        let fresh = sub.grant_channel(client, svc, Badge(4)).unwrap();
+        sub.revoke_channel(&cap)
+            .unwrap_or_else(|e| panic!("[{name}] a stale revoke is a no-op: {e}"));
+        let reply = sub.invoke(client, &fresh, b"fresh").unwrap_or_else(|e| {
+            panic!("[{name}] a stale revoke killed the grant in its slot: {e}")
+        });
+        assert_eq!(reply, b"fresh", "[{name}]");
         sub.destroy(svc).unwrap();
         sub.destroy(client).unwrap();
     }

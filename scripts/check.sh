@@ -28,6 +28,26 @@ cargo test --release -q --test sharded_fabric --test fleet_world
 echo "==> cargo test --release -q --manifest-path perfbench/Cargo.toml"
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 
+# Run each workload for two seconds: a library change that breaks one of
+# perfbench's output checks (reply bytes, attestation counts, acked ==
+# produced) fails here. The last line is the run's JSON summary.
+for workload in invoke session fleet; do
+    echo "==> perfbench --workload $workload --seed 1 --seconds 2 --trace 0"
+    if ! out=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0); then
+        printf '%s\n' "$out"
+        exit 1
+    fi
+    case $(printf '%s\n' "$out" | tail -n 1) in
+    *'"correct": true,'*'"failed": 0,'*) ;;
+    *)
+        printf '%s\n' "$out"
+        echo "perfbench $workload: output checks failed or operations failed" >&2
+        exit 1
+        ;;
+    esac
+done
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

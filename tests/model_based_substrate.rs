@@ -5,18 +5,17 @@
 //! This pins down the semantics that the paper's whole architecture
 //! rests on: capabilities work exactly when (a) their owner is alive,
 //! (b) their slot has not been revoked, and (c) their target is alive —
-//! and never otherwise. Since the fabric refactor these semantics are
-//! implemented once in `substrate::fabric`; the per-backend sweeps below
-//! plus the testkit parity suite verify that every backend actually
-//! routes through it.
+//! and never otherwise — and revoking a capability that is already dead
+//! touches nothing else. Since the fabric refactor these semantics are
+//! implemented once in `substrate::fabric`; the sweeps below, over all
+//! six backends and a two-shard fabric, plus the testkit parity suite
+//! verify that every backend actually routes through it, and that the
+//! fabric counts exactly the dispatches, bytes and denials the model
+//! does.
 
 use lateral::crypto::rng::Drbg;
-use lateral::crypto::sign::SigningKey;
-use lateral::crypto::Digest;
-use lateral::hw::machine::MachineBuilder;
-use lateral::microkernel::Microkernel;
-use lateral::sgx::Sgx;
 use lateral::substrate::cap::{Badge, ChannelCap};
+use lateral::substrate::shard::ShardFabric;
 use lateral::substrate::software::SoftwareSubstrate;
 use lateral::substrate::substrate::{DomainSpec, Substrate};
 use lateral::substrate::testkit::{parity, Echo};
@@ -29,19 +28,21 @@ enum Op {
     Destroy(usize),
     Grant(usize, usize),
     Revoke(usize),
+    RevokeStale(usize),
     Invoke(usize),
     InvokeForged(u32, u32, u64),
 }
 
 fn gen_op(rng: &mut Drbg) -> Op {
-    // Weighted like the original proptest strategy: 3/13 spawn, 1/13
-    // destroy, 3/13 grant, 1/13 revoke, 4/13 invoke, 1/13 forged.
-    match rng.gen_range(13) {
+    // 3/14 spawn, 1/14 destroy, 3/14 grant, 1/14 revoke, 1/14 stale
+    // revoke, 4/14 invoke, 1/14 forged.
+    match rng.gen_range(14) {
         0..=2 => Op::Spawn,
         3 => Op::Destroy(rng.next_u64() as usize),
         4..=6 => Op::Grant(rng.next_u64() as usize, rng.next_u64() as usize),
         7 => Op::Revoke(rng.next_u64() as usize),
-        8..=11 => Op::Invoke(rng.next_u64() as usize),
+        8 => Op::RevokeStale(rng.next_u64() as usize),
+        9..=12 => Op::Invoke(rng.next_u64() as usize),
         _ => Op::InvokeForged(
             rng.next_u32(),
             rng.gen_range(4) as u32,
@@ -50,18 +51,42 @@ fn gen_op(rng: &mut Drbg) -> Op {
     }
 }
 
-fn gen_ops(rng: &mut Drbg) -> Vec<Op> {
+/// The ops of case `seed` — a pure function of the seed, so a failing
+/// case replays alone.
+fn gen_ops(seed: u64) -> Vec<Op> {
+    let mut rng = Drbg::from_seed(&seed.to_le_bytes());
     let n = 1 + rng.gen_range(59) as usize;
-    (0..n).map(|_| gen_op(rng)).collect()
+    (0..n).map(|_| gen_op(&mut rng)).collect()
+}
+
+/// What the fabric must have counted: dispatches, request plus reply
+/// bytes, and refused capability presentations.
+#[derive(Default, Debug, PartialEq)]
+struct Tally {
+    invocations: u64,
+    bytes: u64,
+    denials: u64,
+}
+
+const PING: &[u8] = b"ping";
+
+impl Tally {
+    /// `n` echoed pings.
+    fn pings(&mut self, n: usize) {
+        self.invocations += n as u64;
+        self.bytes += 2 * (n * PING.len()) as u64;
+    }
 }
 
 #[derive(Default)]
 struct Model {
     domains: Vec<DomainId>,            // live domains
     caps: Vec<(ChannelCap, DomainId)>, // (cap, target) — pruned on revoke/destroy
+    revoked: Vec<ChannelCap>,          // revoked caps whose owner is alive
+    tally: Tally,
 }
 
-fn check_sequence(sub: &mut dyn Substrate, ops: &[Op]) {
+fn check_sequence(sub: &mut dyn Substrate, ops: &[Op]) -> Tally {
     let mut model = Model::default();
     let mut spawned = 0u32;
     for op in ops {
@@ -86,6 +111,7 @@ fn check_sequence(sub: &mut dyn Substrate, ops: &[Op]) {
                 model
                     .caps
                     .retain(|(cap, target)| cap.owner != victim && *target != victim);
+                model.revoked.retain(|cap| cap.owner != victim);
             }
             Op::Grant(a, b) => {
                 if model.domains.is_empty() {
@@ -104,6 +130,24 @@ fn check_sequence(sub: &mut dyn Substrate, ops: &[Op]) {
                 sub.revoke_channel(&cap).expect("revoke live cap");
                 // Invoking the revoked cap must now fail.
                 assert!(sub.invoke(cap.owner, &cap, b"x").is_err());
+                model.tally.denials += 1;
+                model.revoked.push(cap);
+            }
+            Op::RevokeStale(sel) => {
+                if model.revoked.is_empty() {
+                    continue;
+                }
+                let stale = model.revoked[sel % model.revoked.len()];
+                sub.revoke_channel(&stale)
+                    .expect("a stale revoke is a no-op");
+                for (live, _) in &model.caps {
+                    assert_eq!(
+                        sub.invoke(live.owner, live, PING).ok().as_deref(),
+                        Some(PING),
+                        "stale revoke of {stale:?} killed live {live:?}"
+                    );
+                }
+                model.tally.pings(model.caps.len());
             }
             Op::Invoke(sel) => {
                 if model.caps.is_empty() {
@@ -113,8 +157,9 @@ fn check_sequence(sub: &mut dyn Substrate, ops: &[Op]) {
                 // Externally driven invokes succeed even on self-channels
                 // (the component is not currently executing; reentrancy
                 // applies only to calls made from *inside* a handler).
-                let reply = sub.invoke(cap.owner, &cap, b"ping");
-                assert_eq!(reply.expect("live cap invokes"), b"ping".to_vec());
+                let reply = sub.invoke(cap.owner, &cap, PING);
+                assert_eq!(reply.expect("live cap invokes"), PING);
+                model.tally.pings(1);
             }
             Op::InvokeForged(owner, slot, nonce) => {
                 let presenter = model
@@ -134,43 +179,100 @@ fn check_sequence(sub: &mut dyn Substrate, ops: &[Op]) {
                     sub.invoke(presenter, &forged, b"x").is_err(),
                     "forged cap must never be honored"
                 );
+                model.tally.denials += 1;
             }
+        }
+    }
+    model.tally
+}
+
+/// Names a failing case on the way out, so it can be replayed alone.
+struct CaseGuard<'a> {
+    backend: &'a str,
+    seed: u64,
+}
+
+impl Drop for CaseGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "lifecycle case failed on {}, seed {}: `run_case` with that \
+                 backend and seed replays it",
+                self.backend, self.seed
+            );
         }
     }
 }
 
-const CASES: usize = 24;
+/// Runs case `seed` on `sub`, named `backend` in a failure. With
+/// `check_totals`, the fabric's dispatch totals must equal the model's
+/// tally; a sharded fabric counts a cross-shard call on both shards, so
+/// it skips that check.
+fn run_case(backend: &str, sub: &mut dyn Substrate, seed: u64, check_totals: bool) {
+    let _guard = CaseGuard { backend, seed };
+    let tally = check_sequence(sub, &gen_ops(seed));
+    if check_totals {
+        let stats = sub.fabric().stats();
+        let counted = Tally {
+            invocations: stats.total_invocations(),
+            bytes: stats.total_bytes(),
+            denials: stats.total_denials(),
+        };
+        assert_eq!(counted, tally, "fabric totals against the model");
+    }
+}
+
+const CASES: u64 = 24;
+
+/// Runs every case on a fresh instance of backend `index` of E2's
+/// conformance pool.
+fn pool_backend_lifecycle(index: usize) {
+    for seed in 0..CASES {
+        let mut sub = all_substrates().swap_remove(index);
+        let backend = sub.profile().name.clone();
+        run_case(&backend, sub.as_mut(), seed, true);
+    }
+}
 
 #[test]
 fn software_substrate_lifecycle() {
-    let mut rng = Drbg::from_seed(b"model substrate sw");
-    for _ in 0..CASES {
-        let ops = gen_ops(&mut rng);
-        let mut sub = SoftwareSubstrate::new("model");
-        check_sequence(&mut sub, &ops);
-    }
+    pool_backend_lifecycle(0);
 }
 
 #[test]
 fn microkernel_lifecycle() {
-    let mut rng = Drbg::from_seed(b"model substrate mk");
-    for _ in 0..CASES {
-        let ops = gen_ops(&mut rng);
-        let machine = MachineBuilder::new().name("model-mk").frames(256).build();
-        let mut sub = Microkernel::new(machine, "model")
-            .with_attestation(SigningKey::from_seed(b"model"), Digest::ZERO);
-        check_sequence(&mut sub, &ops);
-    }
+    pool_backend_lifecycle(1);
+}
+
+#[test]
+fn trustzone_lifecycle() {
+    pool_backend_lifecycle(2);
 }
 
 #[test]
 fn sgx_lifecycle() {
-    let mut rng = Drbg::from_seed(b"model substrate sgx");
-    for _ in 0..CASES {
-        let ops = gen_ops(&mut rng);
-        let machine = MachineBuilder::new().name("model-sgx").frames(256).build();
-        let mut sub = Sgx::new(machine, "model");
-        check_sequence(&mut sub, &ops);
+    pool_backend_lifecycle(3);
+}
+
+#[test]
+fn sep_lifecycle() {
+    pool_backend_lifecycle(4);
+}
+
+#[test]
+fn flicker_lifecycle() {
+    pool_backend_lifecycle(5);
+}
+
+#[test]
+fn two_shard_lifecycle() {
+    // Round-robin placement spreads the domains, so grants cross shards.
+    for seed in 0..200 {
+        let mut fab = ShardFabric::new(vec![
+            Box::new(SoftwareSubstrate::new("model-sh0")),
+            Box::new(SoftwareSubstrate::new("model-sh1")),
+        ]);
+        run_case("two-shard software", &mut fab, seed, false);
     }
 }
 

@@ -258,7 +258,7 @@ fn cap_table_never_honors_foreign_or_stale_caps() {
             .collect();
         for (i, cap) in caps.iter().enumerate() {
             if revoke_mask & (1 << (i % 32)) != 0 {
-                table.revoke(cap.slot);
+                table.revoke(cap);
                 assert!(table.lookup(me, cap).is_err());
             } else {
                 // Valid for the owner...

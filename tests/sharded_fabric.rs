@@ -235,11 +235,11 @@ fn composer_bridges_channels_across_shards() {
     assert_eq!(asm.call_channel("front", "ask", b"ping").unwrap(), b"ping");
     // The caller's shard (shard 0 anchors the fabric surface) recorded
     // the crossing as the explicit cross-shard class.
-    let engine = asm.substrate_mut(0).fabric();
-    let shard_crossings = engine
-        .stats()
-        .crossing(CrossingKind::Shard)
-        .map_or(0, |c| c.count);
+    let shard_crossings = asm
+        .substrate_mut(0)
+        .telemetry()
+        .metrics()
+        .counter(CrossingKind::Shard.counter_metric());
     assert!(
         shard_crossings >= 1,
         "front → back must cross shards, saw {shard_crossings} Shard crossings"
