@@ -401,9 +401,9 @@ pub struct Throughput {
     /// Requests issued on each path.
     pub requests: usize,
     /// Wire records (packets) for the lock-step path, handshake included.
-    pub lockstep_records: usize,
+    pub lockstep_records: u64,
     /// Wire records for the multiplexed path, handshake included.
-    pub mux_records: usize,
+    pub mux_records: u64,
 }
 
 /// Runs lock-step and multiplexed request streams over identical
@@ -419,7 +419,7 @@ pub fn run_throughput() -> Throughput {
     for _ in 0..THROUGHPUT_REQUESTS {
         call(&mut net, &mut client, &mut server, &mut asm, b"r").expect("lock-step call");
     }
-    let lockstep_records = net.recorded().len();
+    let lockstep_records = net.sent();
 
     // Multiplexed: a full window per sealed record group.
     let mut asm = counter_assembly(vec![Box::new(SoftwareSubstrate::new("e18-mux"))]);
@@ -447,7 +447,7 @@ pub fn run_throughput() -> Throughput {
             }
         }
     }
-    let mux_records = net.recorded().len();
+    let mux_records = net.sent();
 
     Throughput {
         requests: THROUGHPUT_REQUESTS,

@@ -32,12 +32,17 @@
 //! inside the same process and are bound by the same rules — but **do not
 //! reuse this crate as a real cryptographic library**.
 //!
-//! SHA-256 has two compressors. On x86-64 CPUs that report the SHA
-//! extensions at run time it uses those instructions; elsewhere it runs
-//! the portable scalar code, which the tests also use as the reference.
-//! CPU detection alone picks the path, and both produce identical output,
-//! so every digest, tag, key and ciphertext is the same on any host. The
-//! call into the SHA-extension code is this crate's only `unsafe` block.
+//! Two primitives have a second code path on x86-64. SHA-256 uses the SHA
+//! extensions on CPUs that report them at run time, and ChaCha20's
+//! [`chacha::xor_stream`] computes eight blocks at once with AVX2 for
+//! messages longer than two blocks. Elsewhere each runs its portable
+//! scalar code, which the tests also use as the reference. Only CPU
+//! detection, and for ChaCha20 the message length, pick the path, and both
+//! paths produce identical output, so every digest, tag, key and
+//! ciphertext is the same on any host. The `unsafe` blocks are the calls
+//! into those two paths and the AVX2 kernel's unaligned loads and stores;
+//! each states why it is sound in a `// SAFETY:` comment, which clippy's
+//! `undocumented_unsafe_blocks` lint requires here.
 //!
 //! # Example
 //!
@@ -54,6 +59,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod aead;

@@ -160,12 +160,22 @@ impl std::fmt::Debug for Machine {
 impl Machine {
     /// Encrypts/decrypts a byte view at absolute position — the memory
     /// encryption engine's keystream as seen by a bus probe.
+    ///
+    /// Byte `pos` of memory uses byte `pos % 64` of keystream block
+    /// `pos / 64`, so each 64-byte line the view touches costs one block.
     fn mee_xor(&self, addr: PhysAddr, data: &mut [u8]) {
         let nonce = [0u8; 12];
-        for (i, b) in data.iter_mut().enumerate() {
-            let pos = addr.0 + i as u64;
+        let mut pos = addr.0;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let offset = (pos % 64) as usize;
+            let (line, tail) = rest.split_at_mut(rest.len().min(64 - offset));
             let block = chacha::block(&self.mee_key, (pos / 64) as u32, &nonce);
-            *b ^= block[(pos % 64) as usize];
+            for (b, k) in line.iter_mut().zip(&block[offset..]) {
+                *b ^= k;
+            }
+            pos += line.len() as u64;
+            rest = tail;
         }
     }
 
@@ -500,6 +510,20 @@ mod tests {
         let v2 = m.bus_read(Initiator::Probe, epc.base(), 4).unwrap();
         assert_eq!(v1, v2, "deterministic ciphertext view");
         assert_ne!(v1, b"AAAA");
+        // An unaligned view across two line boundaries: 100 bytes from
+        // line offset 60, pinned.
+        let at = epc.base().add(60);
+        m.bus_write(Initiator::enclave(EnclaveId(1)), at, &[0x5a; 100])
+            .unwrap();
+        let view = m.bus_read(Initiator::Probe, at, 100).unwrap();
+        let hex: String = view.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "6ebb3015374fac67644581d91e4a03da023d66e83a2d1e67588651389ec90ed5\
+             d74dbd6155aaaf8a0022fa0bdfcd9fb1886a6480f447efbd21e4f3075e0f406b\
+             a3f601d012133ebdea83090dceb21777383402fa9a02efcb1410e6349fd3eb92\
+             b29d265f"
+        );
     }
 
     #[test]

@@ -34,11 +34,11 @@ pub enum AttackMode {
     /// outage window, for exercising bounded retry deterministically.
     DropFirst(u64),
     /// Steady loss: drop every `n`-th packet (the n-th, 2n-th, …,
-    /// counted over all traffic the adversary has seen) and deliver the
-    /// rest — the soak-test mode for retransmission schedules.
-    /// `DropEvery(0)` and `DropEvery(1)` degenerate to [`AttackMode::DropAll`]
-    /// semantics for every packet only at `n == 1`; `n == 0` is treated
-    /// as passive.
+    /// counted over every [`Network::send`] since the network was made,
+    /// under any mode) and deliver the rest — the soak-test mode for
+    /// retransmission schedules. `DropEvery(1)` drops every packet, as
+    /// [`AttackMode::DropAll`] does; `DropEvery(0)` drops none, as
+    /// [`AttackMode::Passive`] does.
     DropEvery(u64),
     /// Duplicate burst: deliver each packet, then `n` extra copies —
     /// sustained replay pressure for receiver-side dedup
@@ -63,6 +63,8 @@ pub struct Network {
     inboxes: BTreeMap<Addr, VecDeque<Packet>>,
     mode: AttackMode,
     recorded: Vec<Packet>,
+    sent: u64,
+    sent_bytes: u64,
     delivered: u64,
     dropped: u64,
     rng: Drbg,
@@ -88,6 +90,8 @@ impl Network {
             inboxes: BTreeMap::new(),
             mode: AttackMode::Passive,
             recorded: Vec::new(),
+            sent: 0,
+            sent_bytes: 0,
             delivered: 0,
             dropped: 0,
             rng: Drbg::from_seed(&[b"lateral.net.", seed.as_bytes()].concat()),
@@ -107,6 +111,17 @@ impl Network {
     /// All traffic the adversary has recorded (it sees everything).
     pub fn recorded(&self) -> &[Packet] {
         &self.recorded
+    }
+
+    /// Count of packets sent so far: one per [`Network::send`], whatever
+    /// the adversary did with it. Injections and replays are not sends.
+    pub fn sent(&self) -> u64 {
+        self.sent
+    }
+
+    /// Payload bytes of the packets counted by [`Network::sent`].
+    pub fn sent_bytes(&self) -> u64 {
+        self.sent_bytes
     }
 
     /// Count of packets delivered so far.
@@ -149,6 +164,8 @@ impl Network {
             to: to.clone(),
             payload: payload.to_vec(),
         };
+        self.sent += 1;
+        self.sent_bytes += payload.len() as u64;
         self.recorded.push(packet.clone());
         match self.mode.clone() {
             AttackMode::Passive => self.deliver(packet).map(|()| 1),
@@ -172,9 +189,8 @@ impl Network {
                 }
             }
             AttackMode::DropEvery(n) => {
-                // `recorded` already holds this packet, so its length is
-                // the 1-based position in the adversary's traffic view.
-                if n > 0 && (self.recorded.len() as u64).is_multiple_of(n) {
+                // `sent` already counts this packet: its 1-based position.
+                if n > 0 && self.sent.is_multiple_of(n) {
                     self.dropped += 1;
                     Ok(0)
                 } else {
@@ -398,24 +414,38 @@ mod tests {
     #[test]
     fn send_receipt_counts_copies_to_the_intended_destination() {
         let (mut n, a, b) = net();
-        assert_eq!(n.send(&a, &b, b"x").unwrap(), 1, "passive delivers one");
-        n.set_attack(AttackMode::DropAll);
-        assert_eq!(n.send(&a, &b, b"x").unwrap(), 0, "dropped: no receipt");
-        n.set_attack(AttackMode::DuplicateBurst(3));
-        assert_eq!(n.send(&a, &b, b"x").unwrap(), 4, "original + 3 copies");
-        n.set_attack(AttackMode::ReplayAll);
-        assert_eq!(n.send(&a, &b, b"x").unwrap(), 2);
         let mallory = Addr::new("mallory");
         n.register(mallory.clone());
-        n.set_attack(AttackMode::Redirect {
+        let redirect = AttackMode::Redirect {
             victim: b.clone(),
             attacker: mallory,
-        });
-        assert_eq!(
-            n.send(&a, &b, b"x").unwrap(),
-            0,
-            "stolen traffic must not read as an ack for the victim"
-        );
+        };
+        // Every mode, each send one byte longer than the last. The
+        // `DropEvery(2)` send is the network's sixth, an even position.
+        let cases = [
+            (AttackMode::Passive, 1, "passive delivers one"),
+            (AttackMode::DropAll, 0, "dropped: no receipt"),
+            (AttackMode::DropFirst(1), 0, "inside the outage window"),
+            (AttackMode::DuplicateBurst(3), 4, "original + 3 copies"),
+            (AttackMode::CorruptAll, 1, "corrupted, but delivered"),
+            (AttackMode::DropEvery(2), 0, "an even position is dropped"),
+            (AttackMode::ReplayAll, 2, "original + replay"),
+            (
+                redirect,
+                0,
+                "stolen traffic must not read as an ack for the victim",
+            ),
+        ];
+        for (len, (mode, receipt, why)) in (1..).zip(cases) {
+            n.set_attack(mode);
+            assert_eq!(n.send(&a, &b, &vec![b'x'; len]).unwrap(), receipt, "{why}");
+            // The counters and the payload log agree after every mode.
+            let recorded = n.recorded();
+            assert_eq!(n.sent(), recorded.len() as u64, "{why}");
+            let bytes: usize = recorded.iter().map(|p| p.payload.len()).sum();
+            assert_eq!(n.sent_bytes(), bytes as u64, "{why}");
+        }
+        assert_eq!(n.sent_bytes(), (1..=8).sum::<u64>());
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nnetwork adversary saw {} packets — zero plaintext in any of them",
-        net.recorded().len()
+        net.sent()
     );
     let leaky = net
         .recorded()
