@@ -53,7 +53,8 @@ impl EphemeralSecret {
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidEncoding`] if the peer's share is
-    /// malformed or degenerate (0, 1 — a small-subgroup-style check).
+    /// malformed or degenerate (0, 1 or p − 1 — a small-subgroup-style
+    /// check).
     pub fn agree(self, peer: &PublicShare, info: &[u8]) -> Result<[u8; 32], CryptoError> {
         let peer_elem = GroupElement::from_bytes(&peer.0)?;
         let shared = peer_elem.exp(&self.secret);
@@ -110,6 +111,21 @@ mod tests {
         let alice = EphemeralSecret::generate(&mut rng);
         let zero = PublicShare([0u8; 32]);
         assert_eq!(alice.agree(&zero, b"t"), Err(CryptoError::InvalidEncoding));
+    }
+
+    #[test]
+    fn share_of_order_two_rejected() {
+        // p − 1 = 2^255 − 20 has order 2: against it every secret would
+        // agree on ±1.
+        let mut rng = Drbg::from_seed(b"dh order two");
+        let alice = EphemeralSecret::generate(&mut rng);
+        let mut minus_one = [0xffu8; 32];
+        minus_one[0] = 0xec;
+        minus_one[31] = 0x7f;
+        assert_eq!(
+            alice.agree(&PublicShare(minus_one), b"t"),
+            Err(CryptoError::InvalidEncoding)
+        );
     }
 
     #[test]

@@ -32,6 +32,13 @@
 //! inside the same process and are bound by the same rules — but **do not
 //! reuse this crate as a real cryptographic library**.
 //!
+//! The Z_p exponentiations in [`group`] are an example: a variable base is
+//! raised with 4-bit windows and the generator through a precomputed comb.
+//! Both run a fixed sequence of multiplications, but they read their
+//! tables at indices taken from the secret exponent's nibbles, so their
+//! memory accesses, and through the cache their timing, depend on secret
+//! keys and nonces. They are not constant-time, and stay simulation-grade.
+//!
 //! Two primitives have a second code path on x86-64. SHA-256 uses the SHA
 //! extensions on CPUs that report them at run time, and ChaCha20's
 //! [`chacha::xor_stream`] computes eight blocks at once with AVX2 for

@@ -266,6 +266,49 @@ mod tests {
         }
     }
 
+    /// `verify` against its own equation, g^s == r·y^e, on the group's
+    /// square-and-multiply reference: a valid signature, a wrong message,
+    /// a wrong key and a tampered `s` on seeded keys.
+    #[test]
+    fn verify_matches_reference_arithmetic() {
+        let reference = |vk: &VerifyingKey, message: &[u8], sig: &Signature| {
+            let e = hash_to_scalar(
+                b"lateral.schnorr.challenge",
+                &[&sig.r.to_bytes(), &vk.0.to_bytes(), message],
+            );
+            GroupElement::generator().reference_exp(&sig.s)
+                == sig.r.reference_mul(&vk.0.reference_exp(&e))
+        };
+        let mut rng = Drbg::from_seed(b"verify differential");
+        for round in 0..8 {
+            let sk = SigningKey::generate(&mut rng);
+            let vk = sk.verifying_key();
+            let other = SigningKey::generate(&mut rng).verifying_key();
+            let sig = sk.sign(b"evidence");
+            let tampered = Signature {
+                r: sig.r,
+                s: sig.s.add(&Scalar::ONE),
+            };
+            for (case, vk, message, sig, valid) in [
+                ("valid", vk, &b"evidence"[..], sig, true),
+                ("wrong message", vk, b"forged", sig, false),
+                ("wrong key", other, b"evidence", sig, false),
+                ("tampered s", vk, b"evidence", tampered, false),
+            ] {
+                assert_eq!(
+                    reference(&vk, message, &sig),
+                    valid,
+                    "{case}, round {round}"
+                );
+                assert_eq!(
+                    vk.verify(message, &sig).is_ok(),
+                    valid,
+                    "{case}, round {round}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn signature_not_valid_for_other_context() {
         // A signature over m1 must not verify as a signature over m2 even
