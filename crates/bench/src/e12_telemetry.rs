@@ -258,16 +258,16 @@ pub fn run_remote() -> RemoteTrace {
     .expect("remote call serves");
     assert_eq!(reply, b"reading: 42 kWh");
 
-    let request = client
-        .telemetry()
+    let ct = client.telemetry();
+    let request = ct
         .spans()
-        .find(|s| &*s.name == "request")
+        .find(|s| ct.span_name(s) == "request")
         .expect("client recorded the request span")
         .clone();
-    let serve = server
-        .telemetry()
+    let st = server.telemetry();
+    let serve = st
         .spans()
-        .find(|s| &*s.name == "serve utility")
+        .find(|s| st.span_name(s) == "serve utility")
         .expect("server recorded the serve span")
         .clone();
     RemoteTrace {

@@ -141,9 +141,9 @@ fn run_backend(idx: usize) -> BackendSweep {
         .unwrap_or_default();
 
     let count_invoke_spans = |sub: &dyn Substrate| {
-        sub.telemetry()
-            .spans()
-            .filter(|s| &*s.name == "invoke e13-svc")
+        let tel = sub.telemetry();
+        tel.spans()
+            .filter(|s| tel.span_name(s) == "invoke e13-svc")
             .count()
     };
     let rings_match = looped.fabric().trace_bytes() == batched.fabric().trace_bytes();

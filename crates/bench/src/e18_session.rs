@@ -169,10 +169,10 @@ fn run_mux_backend(idx: usize) -> BackendMux {
     let client_digest = client.telemetry().tree_digest().short_hex();
     // The serve spans adopted the caller's trace; digest exactly that
     // trace's slice of the server telemetry.
-    let caller_trace = server
-        .telemetry()
+    let st = server.telemetry();
+    let caller_trace = st
         .spans()
-        .find(|s| s.name.starts_with("serve"))
+        .find(|s| st.span_name(s).starts_with("serve"))
         .expect("server recorded serve spans")
         .trace_id;
     let server_digest = server.telemetry().trace_digest(caller_trace).short_hex();

@@ -69,9 +69,12 @@ pub(crate) enum ChannelRef {
 pub struct Assembly {
     pub(crate) substrates: Vec<Box<dyn Substrate>>,
     pub(crate) placements: BTreeMap<String, Placement>,
-    pub(crate) channels: BTreeMap<(String, String), ChannelRef>,
+    /// Declared channels by owning component, then by label: two
+    /// lookups by `&str`, so a call builds no key.
+    pub(crate) channels: BTreeMap<String, BTreeMap<String, ChannelRef>>,
     pub(crate) env_domains: Vec<Option<DomainId>>,
-    pub(crate) env_caps: BTreeMap<(String, u64), (usize, ChannelCap)>,
+    /// Environment capabilities by target component, then by badge.
+    pub(crate) env_caps: BTreeMap<String, BTreeMap<u64, (usize, ChannelCap)>>,
     pub(crate) regrant_epoch: u64,
 }
 
@@ -347,23 +350,8 @@ impl Assembly {
         label: &str,
         data: &[u8],
     ) -> Result<Vec<u8>, CoreError> {
-        let key = (from.to_string(), label.to_string());
-        let chref = self
-            .channels
-            .get(&key)
-            .ok_or_else(|| CoreError::NotFound(format!("channel '{from}'.'{label}'")))?;
-        match chref {
-            ChannelRef::Local { substrate, cap } => {
-                let (sub, cap) = (*substrate, *cap);
-                let caller = self.placements[from].domain;
-                Ok(self.substrates[sub].invoke(caller, &cap, data)?)
-            }
-            ChannelRef::Bridged { substrate, cap } => {
-                let (sub, cap) = (*substrate, *cap);
-                let env = self.env_domains[sub].expect("bridge env exists");
-                Ok(self.substrates[sub].invoke(env, &cap, data)?)
-            }
-        }
+        let (sub, caller, cap) = self.channel_route(from, label)?;
+        Ok(self.substrates[sub].invoke(caller, &cap, data)?)
     }
 
     /// Invokes a declared channel once per payload through the
@@ -381,23 +369,31 @@ impl Assembly {
         label: &str,
         payloads: &[&[u8]],
     ) -> Result<Vec<Vec<u8>>, CoreError> {
-        let key = (from.to_string(), label.to_string());
+        let (sub, caller, cap) = self.channel_route(from, label)?;
+        Ok(self.substrates[sub].invoke_batch(caller, &cap, payloads)?)
+    }
+
+    /// The pool substrate, calling domain and capability behind the
+    /// declared channel `from`.`label`: the owner's own capability, or
+    /// the bridging environment domain's.
+    fn channel_route(
+        &self,
+        from: &str,
+        label: &str,
+    ) -> Result<(usize, DomainId, ChannelCap), CoreError> {
         let chref = self
             .channels
-            .get(&key)
+            .get(from)
+            .and_then(|labels| labels.get(label))
             .ok_or_else(|| CoreError::NotFound(format!("channel '{from}'.'{label}'")))?;
-        match chref {
-            ChannelRef::Local { substrate, cap } => {
-                let (sub, cap) = (*substrate, *cap);
-                let caller = self.placements[from].domain;
-                Ok(self.substrates[sub].invoke_batch(caller, &cap, payloads)?)
-            }
-            ChannelRef::Bridged { substrate, cap } => {
-                let (sub, cap) = (*substrate, *cap);
-                let env = self.env_domains[sub].expect("bridge env exists");
-                Ok(self.substrates[sub].invoke_batch(env, &cap, payloads)?)
-            }
-        }
+        Ok(match *chref {
+            ChannelRef::Local { substrate, cap } => (substrate, self.placements[from].domain, cap),
+            ChannelRef::Bridged { substrate, cap } => (
+                substrate,
+                self.env_domains[substrate].expect("bridge env exists"),
+                cap,
+            ),
+        })
     }
 
     /// Environment invocation of a component with [`ENV_BADGE`].
@@ -423,15 +419,27 @@ impl Assembly {
         data: &[u8],
     ) -> Result<Vec<u8>, CoreError> {
         let placement = self.placement(name)?;
-        let key = (name.to_string(), badge.0);
-        if !self.env_caps.contains_key(&key) {
-            let env = self.env_domain(placement.substrate)?;
-            let cap =
-                self.substrates[placement.substrate].grant_channel(env, placement.domain, badge)?;
-            self.env_caps
-                .insert(key.clone(), (placement.substrate, cap));
-        }
-        let (sub, cap) = self.env_caps[&key];
+        let granted = self
+            .env_caps
+            .get(name)
+            .and_then(|caps| caps.get(&badge.0))
+            .copied();
+        let (sub, cap) = match granted {
+            Some(granted) => granted,
+            None => {
+                let env = self.env_domain(placement.substrate)?;
+                let cap = self.substrates[placement.substrate].grant_channel(
+                    env,
+                    placement.domain,
+                    badge,
+                )?;
+                self.env_caps
+                    .entry(name.to_string())
+                    .or_default()
+                    .insert(badge.0, (placement.substrate, cap));
+                (placement.substrate, cap)
+            }
+        };
         let env = self.env_domains[sub].expect("env exists");
         Ok(self.substrates[sub].invoke(env, &cap, data)?)
     }
@@ -513,31 +521,28 @@ impl Assembly {
     ) -> Result<(), CoreError> {
         let from = self.placement(from_name)?;
         let to = self.placement(to_name)?;
-        let key = (from_name.to_string(), label.to_string());
-        if from.substrate == to.substrate {
+        let chref = if from.substrate == to.substrate {
             let cap = self.substrates[from.substrate].grant_channel(
                 from.domain,
                 to.domain,
                 Badge(badge),
             )?;
-            self.channels.insert(
-                key,
-                ChannelRef::Local {
-                    substrate: from.substrate,
-                    cap,
-                },
-            );
+            ChannelRef::Local {
+                substrate: from.substrate,
+                cap,
+            }
         } else {
             let env = self.env_domain(to.substrate)?;
             let cap = self.substrates[to.substrate].grant_channel(env, to.domain, Badge(badge))?;
-            self.channels.insert(
-                key,
-                ChannelRef::Bridged {
-                    substrate: to.substrate,
-                    cap,
-                },
-            );
-        }
+            ChannelRef::Bridged {
+                substrate: to.substrate,
+                cap,
+            }
+        };
+        self.channels
+            .entry(from_name.to_string())
+            .or_default()
+            .insert(label.to_string(), chref);
         Ok(())
     }
 
@@ -557,8 +562,8 @@ impl Assembly {
         // The old domain may already be gone if a previous restart
         // attempt failed after the destroy.
         let _ = self.substrates[p.substrate].destroy(p.domain);
-        self.channels.retain(|(from, _), _| from != &cm.name);
-        self.env_caps.retain(|(target, _), _| target != &cm.name);
+        self.channels.remove(&cm.name);
+        self.env_caps.remove(&cm.name);
         let spec = DomainSpec::named(&cm.name)
             .with_image(&cm.image)
             .with_mem_pages(cm.mem_pages)
@@ -593,9 +598,8 @@ impl Assembly {
         }
         let p = self.placement(&cm.name)?;
         let _ = self.substrates[p.substrate].destroy(p.domain);
-        self.channels.retain(|(from, _), _| from != &cm.name);
-        self.env_caps
-            .retain(|(target_name, _), _| target_name != &cm.name);
+        self.channels.remove(&cm.name);
+        self.env_caps.remove(&cm.name);
         let spec = DomainSpec::named(&cm.name)
             .with_image(&cm.image)
             .with_mem_pages(cm.mem_pages)
@@ -651,8 +655,8 @@ impl Assembly {
         let placement = self.placement(name)?;
         self.substrates[placement.substrate].destroy(placement.domain)?;
         self.placements.remove(name);
-        self.channels.retain(|(from, _), _| from != name);
-        self.env_caps.retain(|(target, _), _| target != name);
+        self.channels.remove(name);
+        self.env_caps.remove(name);
         Ok(())
     }
 }

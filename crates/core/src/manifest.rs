@@ -411,7 +411,8 @@ impl AppManifest {
             }
             match (directive, rest.as_slice()) {
                 ("image", [hex]) => {
-                    cm.image = decode_hex(hex).ok_or_else(|| bad(no, "malformed image hex"))?;
+                    cm.image = lateral_crypto::hex::decode(hex)
+                        .ok_or_else(|| bad(no, "malformed image hex"))?;
                 }
                 ("loc", [n]) => {
                     cm.loc = n.parse().map_err(|_| bad(no, "malformed loc"))?;
@@ -542,15 +543,6 @@ fn parse_model(s: &str) -> Option<AttackerModel> {
 
 fn encode_hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn decode_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(s.get(2 * i..2 * i + 2)?, 16).ok())
-        .collect()
 }
 
 #[cfg(test)]
@@ -708,6 +700,8 @@ mod tests {
             "app a\napp b",
             "app a\ncomponent c\nrestart sometimes",
             "app a\ncomponent c\nimage zz",
+            "app a\ncomponent c\nimage 6D",
+            "app a\ncomponent c\nimage +d",
             "app a\ncomponent c\nchannel x c 1", // self-channel fails validate()
             "wot-threshold 750\napp a",
             "app a\nwot-threshold 750\nwot-threshold 600",

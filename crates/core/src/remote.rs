@@ -1191,7 +1191,7 @@ pub fn assert_multiplexed_trace_propagation(sub: Box<dyn lateral_substrate::subs
         .find(|s| s.id == root)
         .unwrap_or_else(|| panic!("[{backend}] session root still open"))
         .trace_id;
-    let request_spans: Vec<_> = t.spans().filter(|s| &*s.name == "request").collect();
+    let request_spans: Vec<_> = t.spans().filter(|s| t.span_name(s) == "request").collect();
     assert_eq!(request_spans.len(), 4, "[{backend}] four request spans");
     for s in &request_spans {
         assert_eq!(
@@ -1203,10 +1203,10 @@ pub fn assert_multiplexed_trace_propagation(sub: Box<dyn lateral_substrate::subs
     }
     // Server side: each serve span adopted its own caller's context —
     // same trace, parented on the matching request span, all distinct.
-    let serves: Vec<_> = server
-        .telemetry()
+    let st = server.telemetry();
+    let serves: Vec<_> = st
         .spans()
-        .filter(|s| &*s.name == "serve counter")
+        .filter(|s| st.span_name(s) == "serve counter")
         .cloned()
         .collect();
     assert_eq!(serves.len(), 4, "[{backend}] four serve spans");
@@ -1282,7 +1282,7 @@ mod tests {
         let t = client.telemetry();
         let span = |name: &str| {
             t.spans()
-                .find(|s| &*s.name == name)
+                .find(|s| t.span_name(s) == name)
                 .unwrap_or_else(|| panic!("client recorded a '{name}' span"))
                 .clone()
         };
@@ -1301,10 +1301,10 @@ mod tests {
         assert!(t.spans().all(|s| s.trace_id == root_trace));
         // The server's serve span adopted the propagated context: same
         // trace id, parented on the client's request span.
-        let serve = server
-            .telemetry()
+        let st = server.telemetry();
+        let serve = st
             .spans()
-            .find(|s| &*s.name == "serve counter")
+            .find(|s| st.span_name(s) == "serve counter")
             .expect("server recorded the serve span")
             .clone();
         assert_eq!(serve.trace_id, root_trace);

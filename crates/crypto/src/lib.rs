@@ -19,6 +19,7 @@
 //! * [`sign`] — Schnorr signatures ([`sign::SigningKey`],
 //!   [`sign::VerifyingKey`]).
 //! * [`dh`] — finite-field Diffie–Hellman key agreement.
+//! * [`hex`] — the strict lowercase hex decoder every text codec shares.
 //! * [`rng`] — a seedable, forkable ChaCha20-based deterministic random bit
 //!   generator so that every simulation run is reproducible.
 //!
@@ -73,6 +74,7 @@ pub mod aead;
 pub mod chacha;
 pub mod dh;
 pub mod group;
+pub mod hex;
 pub mod hmac;
 pub mod rng;
 pub mod sha256;

@@ -85,14 +85,6 @@ impl LaunchPolicy {
         }
     }
 
-    /// Both verify and measure (e.g. a phone vendor that also attests).
-    pub fn secure_and_measured(vendor_key: VerifyingKey) -> LaunchPolicy {
-        LaunchPolicy {
-            verify: Some(vendor_key),
-            measure: true,
-        }
-    }
-
     /// No policy: legacy open boot (measured nothing, checked nothing).
     pub fn open() -> LaunchPolicy {
         LaunchPolicy::default()

@@ -36,11 +36,6 @@ impl Iommu {
         self.enabled = false;
     }
 
-    /// Whether enforcement is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Grants `device` access to `frame`.
     pub fn grant(&mut self, device: DeviceId, frame: Frame) {
         self.grants.entry(device).or_default().insert(frame.0);

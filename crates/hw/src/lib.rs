@@ -73,6 +73,28 @@ use std::fmt;
 /// Size of a physical frame / virtual page in bytes.
 pub const PAGE_SIZE: usize = 4096;
 
+/// Splits the `len` bytes from address `start` at page boundaries,
+/// yielding each piece's start address and length in address order, as
+/// the bus and the MMU walk a range one page at a time. A range that
+/// runs past the top of the address space wraps to address 0 rather
+/// than overflowing. The bus refuses such a range before splitting it,
+/// and a domain's memory never maps the top page, so its walk faults
+/// there before reaching the wrapped piece.
+pub(crate) fn page_pieces(start: u64, len: usize) -> impl Iterator<Item = (u64, usize)> {
+    let mut cur = start;
+    let mut remaining = len;
+    std::iter::from_fn(move || {
+        if remaining == 0 {
+            return None;
+        }
+        let take = remaining.min(PAGE_SIZE - (cur % PAGE_SIZE as u64) as usize);
+        let piece = (cur, take);
+        cur = cur.wrapping_add(take as u64);
+        remaining -= take;
+        Some(piece)
+    })
+}
+
 /// A physical address in simulated DRAM.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct PhysAddr(pub u64);
@@ -114,12 +136,6 @@ impl VirtAddr {
     /// The offset within the containing page.
     pub fn offset(&self) -> usize {
         (self.0 % PAGE_SIZE as u64) as usize
-    }
-
-    /// Address advanced by `n` bytes.
-    #[must_use]
-    pub fn add(&self, n: u64) -> VirtAddr {
-        VirtAddr(self.0 + n)
     }
 }
 
@@ -269,6 +285,28 @@ impl Error for HwError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn page_pieces_split_at_page_boundaries() {
+        let pieces: Vec<_> = page_pieces(PAGE_SIZE as u64 - 10, 20 + PAGE_SIZE).collect();
+        assert_eq!(
+            pieces,
+            [
+                (PAGE_SIZE as u64 - 10, 10),
+                (PAGE_SIZE as u64, PAGE_SIZE),
+                (2 * PAGE_SIZE as u64, 10)
+            ]
+        );
+        assert_eq!(page_pieces(7, 0).count(), 0);
+        // A range that ends at the top of the address space stops there;
+        // one that runs past it wraps instead of overflowing.
+        let top = u64::MAX - 9;
+        assert_eq!(page_pieces(top, 10).collect::<Vec<_>>(), [(top, 10)]);
+        assert_eq!(
+            page_pieces(top, 12).collect::<Vec<_>>(),
+            [(top, 10), (0, 2)]
+        );
+    }
 
     #[test]
     fn addresses_split_into_frame_and_offset() {

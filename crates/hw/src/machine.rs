@@ -218,18 +218,8 @@ impl Machine {
 
     /// Splits `[addr, addr+len)` into per-frame spans; the range must
     /// have passed [`Machine::check_range`].
-    fn spans(addr: PhysAddr, len: usize) -> Vec<(PhysAddr, usize)> {
-        let mut out = Vec::new();
-        let mut cur = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let in_frame = PAGE_SIZE - cur.offset();
-            let take = remaining.min(in_frame);
-            out.push((cur, take));
-            cur = cur.add(take as u64);
-            remaining -= take;
-        }
-        out
+    fn spans(addr: PhysAddr, len: usize) -> impl Iterator<Item = (PhysAddr, usize)> {
+        crate::page_pieces(addr.0, len).map(|(a, n)| (PhysAddr(a), n))
     }
 
     /// Whether `initiator` is the integrity-protected owner of `owner`.
@@ -261,24 +251,63 @@ impl Machine {
         addr: PhysAddr,
         len: usize,
     ) -> Result<Vec<u8>, HwError> {
+        let mut out = Vec::new();
+        self.bus_read_into(initiator, addr, len, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Machine::bus_read`] appending the bytes to `out`, so a caller
+    /// that reads a range page by page fills one buffer and copies each
+    /// byte once. The range is checked before `out` grows for it; on any
+    /// error `out` is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::bus_read`].
+    pub fn bus_read_into(
+        &mut self,
+        initiator: Initiator,
+        addr: PhysAddr,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), HwError> {
         self.check_range(addr, len)?;
-        let mut out = Vec::with_capacity(len);
-        for (span_addr, span_len) in Self::spans(addr, len) {
-            let vis = self.check_span(initiator, span_addr, AccessKind::Read)?;
-            let owner = self.mem.owner_of(span_addr)?;
-            if Self::is_protected_owner(initiator, owner) && self.mem.is_tampered(span_addr) {
-                return Err(HwError::IntegrityViolation(span_addr));
-            }
-            let mut bytes = self.mem.raw_read(span_addr, span_len)?.to_vec();
-            if vis == Visibility::Ciphertext {
-                // The MEE: the probe observes only ciphertext.
-                self.mee_xor(span_addr, &mut bytes);
-            }
-            out.extend_from_slice(&bytes);
+        let start = out.len();
+        out.reserve(len);
+        let read = Self::spans(addr, len).try_for_each(|(span_addr, span_len)| {
+            self.read_span(initiator, span_addr, span_len, out)
+        });
+        if let Err(e) = read {
+            out.truncate(start);
+            return Err(e);
         }
         self.clock
             .advance(self.costs.mem_access + self.costs.copy_cost(len));
-        Ok(out)
+        Ok(())
+    }
+
+    /// One frame's part of a read: the bus policy (logging a denial),
+    /// the integrity check, then the bytes, which the MEE encrypts in
+    /// place when `initiator` may see only ciphertext.
+    fn read_span(
+        &mut self,
+        initiator: Initiator,
+        addr: PhysAddr,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), HwError> {
+        let vis = self.check_span(initiator, addr, AccessKind::Read)?;
+        let owner = self.mem.owner_of(addr)?;
+        if Self::is_protected_owner(initiator, owner) && self.mem.is_tampered(addr) {
+            return Err(HwError::IntegrityViolation(addr));
+        }
+        let at = out.len();
+        out.extend_from_slice(self.mem.raw_read(addr, len)?);
+        if vis == Visibility::Ciphertext {
+            // The MEE: the probe observes only ciphertext.
+            self.mee_xor(addr, &mut out[at..]);
+        }
+        Ok(())
     }
 
     /// Writes `bytes` at `addr` on behalf of `initiator`.
@@ -364,11 +393,6 @@ impl Machine {
     /// The denied-access log (read by attack experiments).
     pub fn denied_log(&self) -> &[DeniedAccess] {
         &self.denied_log
-    }
-
-    /// Clears and returns the denied-access log.
-    pub fn take_denied_log(&mut self) -> Vec<DeniedAccess> {
-        std::mem::take(&mut self.denied_log)
     }
 }
 
@@ -488,6 +512,60 @@ mod tests {
         let start = PhysAddr(f1.base().0 - 4);
         // Crossing from a normal frame into a secure frame must fail.
         assert!(m.bus_read(normal, start, 8).is_err());
+    }
+
+    #[test]
+    fn bus_read_into_appends_and_leaves_the_buffer_on_error() {
+        let mut m = machine();
+        let f0 = m.mem.alloc(FrameOwner::Normal).unwrap();
+        let f1 = m.mem.alloc(FrameOwner::Secure).unwrap();
+        let normal = Initiator::cpu(World::Normal);
+        let start = PhysAddr(f1.base().0 - 4);
+        m.bus_write(normal, start, b"tail").unwrap();
+        let mut out = b"head:".to_vec();
+        m.bus_read_into(normal, start, 4, &mut out).unwrap();
+        assert_eq!(out, b"head:tail");
+        // The first frame's bytes are appended before the second frame
+        // is refused; the refusal takes them back out and is logged.
+        let now = m.clock.now();
+        assert!(m.bus_read_into(normal, start, 8, &mut out).is_err());
+        assert_eq!(out, b"head:tail");
+        assert_eq!(m.denied_log().len(), 1);
+        assert_eq!(m.clock.now(), now, "a refused read charges nothing");
+        // The range is checked before the buffer grows for it.
+        let capacity = out.capacity();
+        assert_eq!(
+            m.bus_read_into(normal, PhysAddr(0), usize::MAX, &mut out),
+            Err(HwError::BadAddress(PhysAddr(0)))
+        );
+        assert_eq!(out.capacity(), capacity);
+        assert_eq!(f1.0, f0.0 + 1, "frames are adjacent");
+    }
+
+    #[test]
+    fn a_probe_read_across_lines_and_frames_is_encrypted_in_place() {
+        let mut m = machine();
+        let e0 = m.mem.alloc(FrameOwner::Epc(EnclaveId(3))).unwrap();
+        let e1 = m.mem.alloc(FrameOwner::Epc(EnclaveId(3))).unwrap();
+        assert_eq!(e1.0, e0.0 + 1, "frames are adjacent");
+        let owner = Initiator::enclave(EnclaveId(3));
+        let start = PhysAddr(e1.base().0 - 100);
+        let secret: Vec<u8> = (0..=199u8).collect();
+        m.bus_write(owner, start, &secret).unwrap();
+        let mut seen = vec![0xAA];
+        m.bus_read_into(Initiator::Probe, start, secret.len(), &mut seen)
+            .unwrap();
+        // Each byte is the plaintext XOR the MEE keystream at its own
+        // physical address, whichever line and frame it sits in.
+        let mut expected = secret.clone();
+        m.mee_xor(start, &mut expected);
+        assert_eq!(seen[0], 0xAA);
+        assert_eq!(&seen[1..], &expected[..]);
+        assert_ne!(&seen[1..], &secret[..]);
+        assert_eq!(
+            m.bus_read(Initiator::Probe, start, secret.len()).unwrap(),
+            expected
+        );
     }
 
     #[test]

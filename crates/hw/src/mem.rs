@@ -127,20 +127,6 @@ impl PhysMem {
         }
     }
 
-    /// Changes the owner tag of a frame (e.g. the SGX driver converting
-    /// ordinary memory into EPC, or the secure monitor reassigning a
-    /// TrustZone region). The *caller* is responsible for authorization —
-    /// substrates only expose this to their trusted configuration paths.
-    pub fn retag(&mut self, frame: Frame, owner: FrameOwner) -> Result<(), HwError> {
-        let i = frame.0 as usize;
-        let st = self
-            .frames
-            .get_mut(i)
-            .ok_or(HwError::BadAddress(frame.base()))?;
-        st.owner = owner;
-        Ok(())
-    }
-
     /// Returns the owner tag of the frame containing `addr`.
     pub fn owner_of(&self, addr: PhysAddr) -> Result<FrameOwner, HwError> {
         self.frames

@@ -160,31 +160,22 @@ impl AddressSpace {
 
     /// Translates a byte range, yielding per-page physical spans.
     ///
-    /// Accesses may cross page boundaries; each returned span lies within
-    /// one page.
+    /// Accesses may cross page boundaries; each yielded span lies within
+    /// one page. Pages are translated as the iterator reaches them, so
+    /// nothing is collected.
     ///
     /// # Errors
     ///
-    /// Returns [`HwError::PageFault`] on the first page lacking a suitable
-    /// mapping.
+    /// Yields [`HwError::PageFault`] for the first page lacking a
+    /// suitable mapping.
     pub fn translate_range(
         &self,
         va: VirtAddr,
         len: usize,
         kind: crate::bus::AccessKind,
-    ) -> Result<Vec<(PhysAddr, usize)>, HwError> {
-        let mut spans = Vec::new();
-        let mut cur = va;
-        let mut remaining = len;
-        while remaining > 0 {
-            let (pa, _) = self.translate(cur, kind)?;
-            let in_page = PAGE_SIZE - cur.offset();
-            let take = remaining.min(in_page);
-            spans.push((pa, take));
-            cur = cur.add(take as u64);
-            remaining -= take;
-        }
-        Ok(spans)
+    ) -> impl Iterator<Item = Result<(PhysAddr, usize), HwError>> + '_ {
+        crate::page_pieces(va.0, len)
+            .map(move |(page_va, take)| Ok((self.translate(VirtAddr(page_va), kind)?.0, take)))
     }
 }
 
@@ -235,22 +226,29 @@ impl DomainMemory {
         }
     }
 
-    /// The per-page physical spans of `len` bytes at byte `offset`;
-    /// [`HwError::PageFault`] when any byte lies outside the domain's
-    /// memory. An offset past the end of the address space saturates
-    /// onto the top page, which is never mapped.
-    fn translate(
+    /// The per-page physical spans of `len` bytes at byte `offset`,
+    /// translated lazily. An offset past the end of the address space
+    /// saturates onto the top page, which is never mapped.
+    fn spans(
         &self,
         offset: usize,
         len: usize,
         kind: AccessKind,
-    ) -> Result<Vec<(PhysAddr, usize)>, HwError> {
+    ) -> impl Iterator<Item = Result<(PhysAddr, usize), HwError>> + '_ {
         let va = VirtAddr(DOMAIN_MEM_BASE.saturating_add(offset as u64));
         self.aspace.translate_range(va, len, kind)
     }
 
+    /// Translates the whole range once before any bus access, so a range
+    /// that leaves the domain touches nothing; [`HwError::PageFault`]
+    /// when any byte lies outside the domain's memory.
+    fn check(&self, offset: usize, len: usize, kind: AccessKind) -> Result<(), HwError> {
+        self.spans(offset, len, kind)
+            .try_for_each(|span| span.map(drop))
+    }
+
     /// Reads `len` bytes at `offset` as `initiator`, one bus access per
-    /// page span.
+    /// page span, into one buffer.
     ///
     /// # Errors
     ///
@@ -265,10 +263,11 @@ impl DomainMemory {
     ) -> Result<Vec<u8>, HwError> {
         // Translate before allocating: `len` is the caller's, and only a
         // range that lies inside the domain may size the buffer.
-        let spans = self.translate(offset, len, AccessKind::Read)?;
-        let mut out = Vec::with_capacity(spans.iter().map(|&(_, span)| span).sum());
-        for (pa, span) in spans {
-            out.extend_from_slice(&machine.bus_read(initiator, pa, span)?);
+        self.check(offset, len, AccessKind::Read)?;
+        let mut out = Vec::with_capacity(len);
+        for span in self.spans(offset, len, AccessKind::Read) {
+            let (pa, span) = span?;
+            machine.bus_read_into(initiator, pa, span, &mut out)?;
         }
         Ok(out)
     }
@@ -286,8 +285,10 @@ impl DomainMemory {
         offset: usize,
         data: &[u8],
     ) -> Result<(), HwError> {
+        self.check(offset, data.len(), AccessKind::Write)?;
         let mut cursor = 0usize;
-        for (pa, span) in self.translate(offset, data.len(), AccessKind::Write)? {
+        for span in self.spans(offset, data.len(), AccessKind::Write) {
+            let (pa, span) = span?;
             machine.bus_write(initiator, pa, &data[cursor..cursor + span])?;
             cursor += span;
         }
@@ -329,8 +330,9 @@ mod tests {
         let mut aspace = AddressSpace::new();
         aspace.map(VirtAddr(0), Frame(1), Rights::RW);
         aspace.map(VirtAddr(PAGE_SIZE as u64), Frame(9), Rights::RW);
-        let spans = aspace
+        let spans: Vec<_> = aspace
             .translate_range(VirtAddr(PAGE_SIZE as u64 - 10), 20, AccessKind::Read)
+            .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].1, 10);
@@ -343,9 +345,39 @@ mod tests {
         let mut aspace = AddressSpace::new();
         aspace.map(VirtAddr(0), Frame(1), Rights::RW);
         // Page 1 is unmapped.
-        assert!(aspace
+        let spans: Result<Vec<_>, _> = aspace
             .translate_range(VirtAddr(PAGE_SIZE as u64 - 10), 20, AccessKind::Read)
-            .is_err());
+            .collect();
+        assert!(spans.is_err());
+    }
+
+    #[test]
+    fn domain_memory_walks_pages_and_faults_before_any_bus_access() {
+        use crate::machine::MachineBuilder;
+        let mut m = MachineBuilder::new().frames(8).build();
+        let mem = DomainMemory::alloc(&mut m.mem, FrameOwner::Normal, 2).unwrap();
+        let cpu = Initiator::cpu(crate::World::Normal);
+        let data: Vec<u8> = (0..100u8).collect();
+        mem.write(&mut m, cpu, PAGE_SIZE - 50, &data).unwrap();
+        assert_eq!(mem.read(&mut m, cpu, PAGE_SIZE - 50, 100).unwrap(), data);
+        // A range that leaves the domain faults whole: no byte is
+        // written and the bus is never reached, so the clock stands.
+        let now = m.clock.now();
+        for offset in [2 * PAGE_SIZE - 10, usize::MAX - 5] {
+            assert!(matches!(
+                mem.write(&mut m, cpu, offset, &[0xEE; 20]),
+                Err(HwError::PageFault { .. })
+            ));
+            assert!(matches!(
+                mem.read(&mut m, cpu, offset, 20),
+                Err(HwError::PageFault { .. })
+            ));
+        }
+        assert_eq!(m.clock.now(), now);
+        assert_eq!(
+            mem.read(&mut m, cpu, 2 * PAGE_SIZE - 10, 10).unwrap(),
+            [0; 10]
+        );
     }
 
     #[test]

@@ -210,9 +210,9 @@ impl SignedManifest {
                 return Err(bad("expected 'endorsement <root> <signature>'"));
             };
             Some(Endorsement {
-                root: decode_hex_array::<32>(root_hex)
+                root: lateral_crypto::hex::decode_array::<32>(root_hex)
                     .ok_or_else(|| bad("malformed endorsement root hex"))?,
-                signature: decode_hex_array::<64>(sig_hex)
+                signature: lateral_crypto::hex::decode_array::<64>(sig_hex)
                     .ok_or_else(|| bad("malformed endorsement signature hex"))?,
             })
         } else {
@@ -391,7 +391,7 @@ fn expect_hex_line<'a, const N: usize>(
             "expected '{directive} <hex>'"
         )));
     };
-    decode_hex_array::<N>(hex)
+    lateral_crypto::hex::decode_array::<N>(hex)
         .ok_or_else(|| RegistryError::Decode(format!("malformed {directive} hex")))
 }
 
@@ -408,17 +408,6 @@ fn parse_name(s: &str) -> Result<String, RegistryError> {
 
 pub(crate) fn encode_hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn decode_hex_array<const N: usize>(s: &str) -> Option<[u8; N]> {
-    if s.len() != 2 * N {
-        return None;
-    }
-    let mut out = [0u8; N];
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = u8::from_str_radix(s.get(2 * i..2 * i + 2)?, 16).ok()?;
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -532,6 +521,22 @@ mod tests {
         ] {
             assert!(SignedManifest::decode(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn decoder_refuses_uppercase_hex() {
+        let key = SigningKey::from_seed(b"publisher");
+        let text = draft().sign(&key, None).to_text();
+        let sig = text
+            .lines()
+            .find_map(|l| l.strip_prefix("signature "))
+            .expect("signature line");
+        let upper = text.replace(sig, &sig.to_uppercase());
+        assert_ne!(upper, text);
+        assert!(
+            SignedManifest::decode(&upper).is_err(),
+            "accepted {upper:?}"
+        );
     }
 
     #[test]

@@ -707,11 +707,6 @@ impl Fabric {
         self.faults = plan;
     }
 
-    /// The installed fault schedule (empty by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Whether `id` has fail-stopped (an injected crash not yet cleared
     /// by destroying the domain, which drops its record and the flag).
     pub fn is_crashed(&self, id: DomainId) -> bool {

@@ -227,15 +227,6 @@ impl ShardFabric {
         self.shards[id.0 as usize].as_ref()
     }
 
-    /// Write access to one shard's substrate (fault plans, telemetry).
-    ///
-    /// # Panics
-    ///
-    /// If `id` is out of range.
-    pub fn shard_mut(&mut self, id: ShardId) -> &mut dyn Substrate {
-        self.shards[id.0 as usize].as_mut()
-    }
-
     /// The deterministic trace merge: every retained event of every
     /// shard, ordered by `(epoch, shard, seq)`. Epochs are the explicit
     /// global barriers; within an epoch shards concatenate in id order;

@@ -359,7 +359,7 @@ pub mod parity {
                 assert!(
                     ids.contains(&s.parent.0),
                     "[{name}] span '{}' must link into the trace",
-                    s.name
+                    tel.span_name(s)
                 );
             }
         }
@@ -370,7 +370,9 @@ pub mod parity {
             "destroy parity-traced-client",
         ] {
             assert!(
-                spans.iter().any(|s| &*s.name == event && s.parent == root),
+                spans
+                    .iter()
+                    .any(|s| tel.span_name(s) == event && s.parent == root),
                 "[{name}] '{event}' must be a child of the scenario root"
             );
         }
@@ -424,9 +426,9 @@ pub mod parity {
             "[{name}] batch metrics digest must match the loop's"
         );
         let invoke_spans = |sub: &dyn Substrate| {
-            sub.telemetry()
-                .spans()
-                .filter(|s| &*s.name == "invoke batch-parity-svc")
+            let tel = sub.telemetry();
+            tel.spans()
+                .filter(|s| tel.span_name(s) == "invoke batch-parity-svc")
                 .count()
         };
         assert_eq!(
@@ -649,6 +651,127 @@ pub mod parity {
         );
         sub.destroy(client).unwrap();
         sub.destroy(successor).unwrap();
+    }
+
+    /// Injected trace events in the fabric's retained ring.
+    fn injected_events(sub: &dyn Substrate) -> usize {
+        sub.fabric()
+            .trace()
+            .filter(|e| e.outcome == crate::fabric::TraceOutcome::Injected)
+            .count()
+    }
+
+    /// An injected `DenyGrant` fault refuses exactly the nth grant into
+    /// its victim: that grant fails with [`SubstrateError::AccessDenied`],
+    /// counts one `fabric.denials`, leaves one `Injected` trace event and
+    /// one INJECTED `grant …` span, and installs no capability. The grant
+    /// after it succeeds and serves.
+    pub fn assert_grant_denial_injected(sub: &mut dyn Substrate) {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let name = sub.profile().name.clone();
+        let victim = sub
+            .spawn(DomainSpec::named("parity-deny-victim"), Box::new(Echo))
+            .unwrap();
+        let client = sub
+            .spawn(DomainSpec::named("parity-deny-client"), Box::new(Echo))
+            .unwrap();
+        sub.fabric_mut().install_fault_plan(
+            FaultPlan::new().with(FaultSpec::deny_grant("parity-deny-victim", 2)),
+        );
+        let label = "grant parity-deny-client->parity-deny-victim";
+        let injected_spans = |sub: &dyn Substrate| {
+            let tel = sub.telemetry();
+            tel.spans()
+                .filter(|s| s.outcome == outcome::INJECTED && tel.span_name(s) == label)
+                .count()
+        };
+        let denials = |sub: &dyn Substrate| sub.telemetry().metrics().counter("fabric.denials");
+
+        let first = sub
+            .grant_channel(client, victim, Badge(1))
+            .unwrap_or_else(|e| panic!("[{name}] the grant before the fault point: {e}"));
+        let caps = sub.list_caps(client).unwrap();
+        let (events, spans, denied) = (injected_events(sub), injected_spans(sub), denials(sub));
+        let err = sub
+            .grant_channel(client, victim, Badge(2))
+            .expect_err("the second grant into the victim is denied");
+        assert!(
+            matches!(err, SubstrateError::AccessDenied(_)),
+            "[{name}] expected AccessDenied, got: {err}"
+        );
+        assert_eq!(denials(sub), denied + 1, "[{name}] one denial counted");
+        assert_eq!(
+            injected_events(sub),
+            events + 1,
+            "[{name}] one Injected trace event"
+        );
+        assert_eq!(
+            injected_spans(sub),
+            spans + 1,
+            "[{name}] one INJECTED '{label}' span"
+        );
+        assert_eq!(
+            sub.list_caps(client).unwrap(),
+            caps,
+            "[{name}] the denied grant installs no capability"
+        );
+
+        let next = sub
+            .grant_channel(client, victim, Badge(3))
+            .unwrap_or_else(|e| panic!("[{name}] the grant after the fault point: {e}"));
+        for cap in [first, next] {
+            assert_eq!(
+                sub.invoke(client, &cap, b"granted").unwrap(),
+                b"granted",
+                "[{name}] the granted channels serve"
+            );
+        }
+        sub.destroy(client).unwrap();
+        sub.destroy(victim).unwrap();
+    }
+
+    /// An injected `CorruptSeal` fault corrupts exactly the nth seal by
+    /// its victim: the blob comes back, records one `Injected` trace
+    /// event, and fails its integrity check at unseal. The seals before
+    /// and after it round-trip.
+    pub fn assert_seal_corruption_injected(sub: &mut dyn Substrate) {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let name = sub.profile().name.clone();
+        let sealer = sub
+            .spawn(
+                DomainSpec::named("parity-corrupt-sealer").with_image(b"corrupt sealer image"),
+                Box::new(Echo),
+            )
+            .unwrap();
+        sub.fabric_mut().install_fault_plan(
+            FaultPlan::new().with(FaultSpec::corrupt_seal("parity-corrupt-sealer", 2)),
+        );
+        let round_trip = |sub: &mut dyn Substrate, secret: &[u8]| {
+            let blob = sub
+                .seal(sealer, secret)
+                .unwrap_or_else(|e| panic!("[{name}] seal: {e}"));
+            assert_eq!(
+                sub.unseal(sealer, &blob).unwrap(),
+                secret,
+                "[{name}] an uncorrupted seal round-trips"
+            );
+        };
+        round_trip(sub, b"before the fault");
+        let events = injected_events(sub);
+        let corrupt = sub
+            .seal(sealer, b"corrupted")
+            .unwrap_or_else(|e| panic!("[{name}] the corrupted seal still returns a blob: {e}"));
+        assert_eq!(
+            injected_events(sub),
+            events + 1,
+            "[{name}] one Injected trace event"
+        );
+        assert!(
+            sub.unseal(sealer, &corrupt).is_err(),
+            "[{name}] the corrupted blob fails its integrity check"
+        );
+        round_trip(sub, b"after the fault");
+        sub.destroy(sealer).unwrap();
     }
 
     /// Admission-gate parity: an image served through a

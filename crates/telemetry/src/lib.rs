@@ -68,9 +68,10 @@ impl Error for TelemetryError {}
 pub struct SpanId(pub u64);
 
 /// Stable handle to a span name interned in a [`Telemetry`] (see
-/// [`Telemetry::intern`]). Opening a span through a label
-/// ([`Telemetry::begin_span_label`]) reuses the interned string, so the
-/// hot invocation paths never re-format or re-allocate span names.
+/// [`Telemetry::intern`]). Every [`Span`] carries one in place of its
+/// text; opening a span through a label
+/// ([`Telemetry::begin_span_label`]) skips even the interner lookup, so
+/// the hot invocation paths never format, look up or allocate a name.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct LabelId(u32);
 
@@ -174,6 +175,13 @@ pub mod outcome {
 }
 
 /// One interval on the logical clock, linked to its parent.
+///
+/// A span names itself by the [`LabelId`] its [`Telemetry`] interned,
+/// not by its text, so a span is 64 plain bytes: opening one, closing it
+/// and dropping it from a full ring touch no reference count and free
+/// nothing. [`Telemetry::span_name`] on the collector that recorded the
+/// span resolves the text; a span read from one collector means nothing
+/// to another's interner.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Span {
     /// This span's id (unique within its [`Telemetry`]).
@@ -185,10 +193,9 @@ pub struct Span {
     /// does not resolve locally; the span renders as that trace's local
     /// root.
     pub parent: SpanId,
-    /// What the span covers, e.g. `invoke meter`. A shared string:
-    /// spans opened through an interned [`LabelId`] all point at the
-    /// same allocation.
-    pub name: Arc<str>,
+    /// What the span covers, e.g. `invoke meter`, interned in the
+    /// recording collector (see [`Telemetry::span_name`]).
+    pub label: LabelId,
     /// Which layer opened it: `fabric`, `channel`, `remote`,
     /// `supervisor`, `compose`, …
     pub layer: &'static str,
@@ -543,8 +550,11 @@ pub struct Telemetry {
     capacity: usize,
     next_span: u64,
     next_trace: u64,
-    /// Innermost-last stack of open span ids.
-    stack: Vec<SpanId>,
+    /// Innermost-last stack of open spans, each with its trace id, so a
+    /// child opens without looking its parent up.
+    stack: Vec<(SpanId, u64)>,
+    /// Every open span, stack and linked, in no promised order: the
+    /// innermost is last until an out-of-order end swaps another there.
     open: Vec<Span>,
     closed: VecDeque<Span>,
     spans_recorded: u64,
@@ -586,8 +596,8 @@ impl Telemetry {
     }
 
     /// Interns `name`, returning a stable [`LabelId`]. Interning the
-    /// same string twice returns the same id; the allocation happens
-    /// once, and every span opened through the label shares it.
+    /// same string twice returns the same id; the text is stored once,
+    /// and every span opened under the name carries only the id.
     pub fn intern(&mut self, name: &str) -> LabelId {
         if let Some(&i) = self.label_index.get(name) {
             return LabelId(i);
@@ -613,30 +623,27 @@ impl Telemetry {
     }
 
     /// Opens a span at tick `at`: a child of the innermost open span,
-    /// or the root of a fresh trace when none is open.
+    /// or the root of a fresh trace when none is open. Interns `name`
+    /// (see [`Telemetry::intern`]), so names should come from a bounded
+    /// set; a hot path interns once and opens through
+    /// [`Telemetry::begin_span_label`].
     pub fn begin_span(&mut self, name: &str, layer: &'static str, at: u64) -> SpanId {
-        let name: Arc<str> = Arc::from(name);
-        self.begin_span_arc(name, layer, at)
+        let label = self.intern(name);
+        self.begin_span_label(label, layer, at)
     }
 
-    /// [`Telemetry::begin_span`] through an interned label — the
-    /// allocation-free hot path: the span's name is an `Arc` clone of
-    /// the interned string.
+    /// [`Telemetry::begin_span`] through an interned label — the hot
+    /// path: no lookup, no allocation once the vectors have grown.
     pub fn begin_span_label(&mut self, label: LabelId, layer: &'static str, at: u64) -> SpanId {
-        let name = Arc::clone(&self.labels[label.0 as usize]);
-        self.begin_span_arc(name, layer, at)
-    }
-
-    fn begin_span_arc(&mut self, name: Arc<str>, layer: &'static str, at: u64) -> SpanId {
         let (trace_id, parent) = match self.stack.last() {
-            Some(&top) => (self.trace_of(top), top),
+            Some(&(top, trace_id)) => (trace_id, top),
             None => {
                 let t = self.next_trace;
                 self.next_trace += 1;
                 (t, SpanId::NONE)
             }
         };
-        self.push_span(trace_id, parent, name, layer, at)
+        self.push_span(trace_id, parent, label, layer, at)
     }
 
     /// Opens a span *inside a propagated trace*: when no span is open,
@@ -651,16 +658,14 @@ impl Telemetry {
         layer: &'static str,
         at: u64,
     ) -> SpanId {
+        let label = self.intern(name);
         match self.stack.last() {
-            Some(&top) => {
-                let trace = self.trace_of(top);
-                self.push_span(trace, top, Arc::from(name), layer, at)
-            }
+            Some(&(top, trace_id)) => self.push_span(trace_id, top, label, layer, at),
             None => {
                 // Keep local trace-id allocation clear of the adopted id
                 // so a later local root cannot collide with this trace.
                 self.next_trace = self.next_trace.max(ctx.trace_id + 1);
-                self.push_span(ctx.trace_id, ctx.parent, Arc::from(name), layer, at)
+                self.push_span(ctx.trace_id, ctx.parent, label, layer, at)
             }
         }
     }
@@ -683,20 +688,8 @@ impl Telemetry {
         // Keep local trace-id allocation clear of the linked id so a
         // later local root cannot collide with this trace.
         self.next_trace = self.next_trace.max(ctx.trace_id + 1);
-        let id = SpanId(self.next_span);
-        self.next_span += 1;
-        self.open.push(Span {
-            id,
-            trace_id: ctx.trace_id,
-            parent: ctx.parent,
-            name: Arc::from(name),
-            layer,
-            start: at,
-            end: at,
-            outcome: outcome::OK,
-        });
-        self.spans_recorded += 1;
-        id
+        let label = self.intern(name);
+        self.open_span(ctx.trace_id, ctx.parent, label, layer, at)
     }
 
     /// Records an already-finished event as a zero-or-more-tick span
@@ -723,14 +716,21 @@ impl Telemetry {
     /// Closes `id` at tick `at` with `outcome`, moving it into the
     /// ring. Unknown ids are ignored (the span may have been dropped by
     /// a full ring of a smaller collector it was forwarded to).
+    ///
+    /// Closing the innermost span — the last one opened — costs no
+    /// search: both lists are scanned from their ends. Only an
+    /// out-of-order end, such as a multiplexed session's request spans
+    /// finishing in reply order, searches further.
     pub fn end_span(&mut self, id: SpanId, at: u64, outcome: u8) {
-        let Some(idx) = self.open.iter().position(|s| s.id == id) else {
+        let Some(idx) = self.open.iter().rposition(|s| s.id == id) else {
             return;
         };
         let mut span = self.open.swap_remove(idx);
         span.end = at.max(span.start);
         span.outcome = outcome;
-        self.stack.retain(|&s| s != id);
+        if let Some(pos) = self.stack.iter().rposition(|&(s, _)| s == id) {
+            self.stack.remove(pos);
+        }
         if self.closed.len() == self.capacity {
             self.closed.pop_front();
         }
@@ -740,17 +740,25 @@ impl Telemetry {
     /// The innermost open span, or [`SpanId::NONE`].
     #[must_use]
     pub fn current(&self) -> SpanId {
-        self.stack.last().copied().unwrap_or(SpanId::NONE)
+        self.stack.last().map_or(SpanId::NONE, |&(top, _)| top)
     }
 
     /// The context to propagate from here: the innermost open span's
     /// trace and id, or `None` when no span is open.
     #[must_use]
     pub fn context(&self) -> Option<TraceContext> {
-        self.stack.last().map(|&top| TraceContext {
-            trace_id: self.trace_of(top),
+        self.stack.last().map(|&(top, trace_id)| TraceContext {
+            trace_id,
             parent: top,
         })
+    }
+
+    /// The name `span` was opened under. `span` must come from this
+    /// collector ([`Telemetry::spans`] or [`Telemetry::open_spans`]):
+    /// its label indexes this collector's interner.
+    #[must_use]
+    pub fn span_name(&self, span: &Span) -> &str {
+        self.label(span.label)
     }
 
     /// Closed spans, oldest first.
@@ -758,7 +766,8 @@ impl Telemetry {
         self.closed.iter()
     }
 
-    /// Spans currently open (in opening order).
+    /// Spans currently open, in no promised order: closing a span other
+    /// than the innermost moves the last open span into its place.
     pub fn open_spans(&self) -> impl Iterator<Item = &Span> {
         self.open.iter()
     }
@@ -799,7 +808,7 @@ impl Telemetry {
                 out,
                 "{:indent$}{} [{}] {}..{} {}",
                 "",
-                span.name,
+                self.span_name(span),
                 span.layer,
                 span.start,
                 span.end,
@@ -848,26 +857,31 @@ impl Telemetry {
             canon.push(depth.min(255) as u8);
             canon.extend_from_slice(span.layer.as_bytes());
             canon.push(0);
-            canon.extend_from_slice(span.name.as_bytes());
+            canon.extend_from_slice(self.span_name(span).as_bytes());
             canon.push(0);
             canon.push(span.outcome);
             canon.push(0x1e);
         });
     }
 
-    fn trace_of(&self, id: SpanId) -> u64 {
-        self.open
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.trace_id)
-            .unwrap_or(0)
-    }
-
     fn push_span(
         &mut self,
         trace_id: u64,
         parent: SpanId,
-        name: Arc<str>,
+        label: LabelId,
+        layer: &'static str,
+        at: u64,
+    ) -> SpanId {
+        let id = self.open_span(trace_id, parent, label, layer, at);
+        self.stack.push((id, trace_id));
+        id
+    }
+
+    fn open_span(
+        &mut self,
+        trace_id: u64,
+        parent: SpanId,
+        label: LabelId,
         layer: &'static str,
         at: u64,
     ) -> SpanId {
@@ -877,13 +891,12 @@ impl Telemetry {
             id,
             trace_id,
             parent,
-            name,
+            label,
             layer,
             start: at,
             end: at,
             outcome: outcome::OK,
         });
-        self.stack.push(id);
         self.spans_recorded += 1;
         id
     }
@@ -990,7 +1003,7 @@ mod tests {
         t.end_span(root, 6, outcome::OK);
         let spans: Vec<&Span> = t.spans().collect();
         assert_eq!(spans.len(), 3);
-        let by_name = |n: &str| spans.iter().find(|s| &*s.name == n).copied().unwrap();
+        let by_name = |n: &str| spans.iter().find(|s| t.span_name(s) == n).copied().unwrap();
         assert_eq!(by_name("root").parent, SpanId::NONE);
         assert_eq!(by_name("child").parent, by_name("root").id);
         assert_eq!(by_name("grand").parent, by_name("child").id);
@@ -1018,6 +1031,66 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_ends_keep_the_stack() {
+        let mut t = Telemetry::new();
+        let a = t.begin_span("a", "test", 1);
+        let b = t.begin_span("b", "test", 2);
+        let c = t.begin_span("c", "test", 3);
+        // Closing the outermost first leaves the others open, in no
+        // promised order, and c innermost.
+        t.end_span(a, 4, outcome::OK);
+        let mut open: Vec<SpanId> = t.open_spans().map(|s| s.id).collect();
+        open.sort();
+        assert_eq!(open, [b, c]);
+        assert_eq!(t.current(), c);
+        let d = t.begin_span("d", "test", 5);
+        t.end_span(d, 6, outcome::OK);
+        // Closing a middle span leaves c innermost too.
+        t.end_span(b, 7, outcome::OK);
+        assert_eq!(t.current(), c);
+        t.end_span(c, 8, outcome::OK);
+        assert_eq!(t.current(), SpanId::NONE);
+        assert_eq!(t.open_spans().count(), 0);
+        // A second end of a closed span is ignored.
+        t.end_span(c, 9, outcome::FAILED);
+        assert_eq!(t.span_count(), 4);
+        let span = |name: &str| t.spans().find(|s| t.span_name(s) == name).unwrap();
+        assert_eq!(span("d").parent, c);
+        assert_eq!(span("c").parent, b);
+        assert_eq!(span("c").outcome, outcome::OK);
+        assert!(t.spans().all(|s| s.trace_id == span("a").trace_id));
+    }
+
+    #[test]
+    fn linked_spans_close_in_any_order_without_touching_the_stack() {
+        let mut t = Telemetry::new();
+        let root = t.begin_span("session", "test", 0);
+        let ctx = t.context().expect("root is open");
+        let requests: Vec<SpanId> = (1..=4)
+            .map(|at| t.begin_span_linked(ctx, "request", "test", at))
+            .collect();
+        let flush = t.begin_span("flush", "test", 5);
+        assert_eq!(t.current(), flush, "linked spans never join the stack");
+        for i in [1, 3, 0, 2] {
+            t.end_span(requests[i], 6, outcome::OK);
+            assert_eq!(t.current(), flush);
+        }
+        t.end_span(flush, 7, outcome::OK);
+        assert_eq!(t.current(), root);
+        t.end_span(root, 8, outcome::OK);
+        assert!(t
+            .spans()
+            .filter(|s| t.span_name(s) != "session")
+            .all(|s| s.parent == root && s.trace_id == ctx.trace_id));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_span_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<Span>(), 64);
+    }
+
+    #[test]
     fn ring_is_bounded_and_counts_everything() {
         let mut t = Telemetry::with_capacity(4);
         for i in 0..10 {
@@ -1026,7 +1099,7 @@ mod tests {
         }
         assert_eq!(t.span_count(), 4);
         assert_eq!(t.spans_recorded(), 10);
-        assert_eq!(&*t.spans().next().unwrap().name, "s6");
+        assert_eq!(t.span_name(t.spans().next().unwrap()), "s6");
     }
 
     #[test]
@@ -1038,14 +1111,15 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(t.label(a), "invoke meter");
-        // A span opened through the label carries the same shared string
-        // a by-name span would.
+        // A span opened through the label carries the same label a
+        // by-name span does.
         let s1 = t.begin_span_label(a, "test", 1);
         t.end_span(s1, 2, outcome::OK);
         let s2 = t.begin_span("invoke meter", "test", 3);
         t.end_span(s2, 4, outcome::OK);
-        let names: Vec<&str> = t.spans().map(|s| &*s.name).collect();
+        let names: Vec<&str> = t.spans().map(|s| t.span_name(s)).collect();
         assert_eq!(names, ["invoke meter", "invoke meter"]);
+        assert!(t.spans().all(|s| s.label == a));
         // Same tree shape whichever API opened the span.
         let build = |by_label: bool| {
             let mut t = Telemetry::new();
@@ -1097,7 +1171,7 @@ mod tests {
                 assert!(
                     retained_ids.contains(&span.parent.0),
                     "span {:?} rendered under a parent the ring dropped",
-                    span.name
+                    t.span_name(span)
                 );
             }
         });

@@ -315,11 +315,6 @@ impl TrustGraph {
         self.out_edges.iter().map(BTreeMap::len).sum()
     }
 
-    /// Subjects with at least one active review.
-    pub fn reviewed_subject_count(&self) -> usize {
-        self.reviews.len()
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> WotStats {
         self.stats

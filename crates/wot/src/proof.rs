@@ -553,22 +553,12 @@ fn expect_hex_line<'a, const N: usize>(
     directive: &str,
 ) -> Result<[u8; N], WotError> {
     let tok = expect_token(lines, directive)?;
-    decode_hex_array::<N>(tok).ok_or_else(|| WotError::Decode(format!("malformed {directive} hex")))
+    lateral_crypto::hex::decode_array::<N>(tok)
+        .ok_or_else(|| WotError::Decode(format!("malformed {directive} hex")))
 }
 
 pub(crate) fn encode_hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn decode_hex_array<const N: usize>(s: &str) -> Option<[u8; N]> {
-    if s.len() != 2 * N {
-        return None;
-    }
-    let mut out = [0u8; N];
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = u8::from_str_radix(s.get(2 * i..2 * i + 2)?, 16).ok()?;
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -700,6 +690,39 @@ mod tests {
         ] {
             assert!(ReviewProof::decode(bad).is_err(), "accepted {bad:?}");
             assert!(Proof::decode(bad).is_err(), "unified accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn decoder_refuses_uppercase_and_signed_hex() {
+        // Both variants decode to the same signature bytes under a
+        // `from_str_radix` decoder, so the proof verifies yet re-encodes
+        // to other text. Pick an epoch whose signature has a byte below
+        // 0x10 for the `+` variant.
+        let p = (0..)
+            .map(|epoch| ReviewProof::issue(&reviewer(), Digest::of(b"image"), Rating::High, epoch))
+            .find(|p| p.signature.iter().any(|&b| b < 0x10))
+            .expect("some signature has a byte below 0x10");
+        let text = p.to_text();
+        let sig = encode_hex(&p.signature);
+        assert!(sig.bytes().any(|c| c.is_ascii_lowercase()));
+        let upper = text.replace(&sig, &sig.to_uppercase());
+        let zero = (0..p.signature.len())
+            .find(|&i| p.signature[i] < 0x10)
+            .expect("chosen above");
+        let mut plus = sig.clone();
+        plus.replace_range(2 * zero..2 * zero + 1, "+");
+        let plus = text.replace(&sig, &plus);
+        for variant in [upper, plus] {
+            assert_ne!(variant, text);
+            assert!(
+                ReviewProof::decode(&variant).is_err(),
+                "accepted {variant:?}"
+            );
+            assert!(
+                Proof::decode(&variant).is_err(),
+                "unified accepted {variant:?}"
+            );
         }
     }
 

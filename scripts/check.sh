@@ -20,8 +20,13 @@ cargo test --release -q -p lateral-crypto
 
 # The fleet tick runs its shard lanes on threads; test the lanes, the
 # split shard borrow and the pinned fleet outcomes as optimised code too.
-echo "==> cargo test --release -q -p lateral-apps -p lateral-substrate"
-cargo test --release -q -p lateral-apps -p lateral-substrate
+# The bus and the MMU walk split ranges into page spans with offset
+# arithmetic, the span stack closes spans by position, and the composer
+# looks channels up by borrowed names. Debug overflow checks cover that
+# arithmetic in the run above; release wraps silently, so the hardware,
+# telemetry and composer tests run as optimised code too.
+echo "==> cargo test --release -q -p lateral-apps -p lateral-substrate -p lateral-hw -p lateral-telemetry -p lateral-core"
+cargo test --release -q -p lateral-apps -p lateral-substrate -p lateral-hw -p lateral-telemetry -p lateral-core
 echo "==> cargo test --release -q --test sharded_fabric --test fleet_world"
 cargo test --release -q --test sharded_fabric --test fleet_world
 

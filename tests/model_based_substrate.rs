@@ -319,6 +319,24 @@ fn crash_respawn_under_supervision_on_all_six() {
 }
 
 #[test]
+fn injected_grant_denial_on_all_six() {
+    // The engine's deny-grant branch: the nth grant into the victim is
+    // refused, counted, traced and spanned, and installs nothing.
+    for mut sub in all_substrates() {
+        parity::assert_grant_denial_injected(sub.as_mut());
+    }
+}
+
+#[test]
+fn injected_seal_corruption_on_all_six() {
+    // The engine's corrupt-seal branch: the nth seal's blob fails its
+    // integrity check at unseal, and the next seal round-trips.
+    for mut sub in all_substrates() {
+        parity::assert_seal_corruption_injected(sub.as_mut());
+    }
+}
+
+#[test]
 fn memory_bounds_agree_on_all_six() {
     // Two backends keep domain memory on the heap and four walk the MMU
     // and the bus; all six must draw the same line at the end of a
